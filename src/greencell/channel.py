@@ -43,10 +43,6 @@ class ShadowingModel:
             return float(np.exp(2.0 * self.log_std**2))
         raise ParameterError(f"order must be 1 or 2, got {order}")
 
-    def sample(self, seed, size=None):
-        rng = np.random.default_rng(seed)
-        return np.exp(rng.normal(0.0, self.log_std, size=size))
-
     def sample_with(self, rng: np.random.Generator, size=None):
         return np.exp(rng.normal(0.0, self.log_std, size=size))
 
@@ -118,10 +114,6 @@ class TrafficModel:
         if x <= self.rho_min:
             return 1.0
         return float((self.rho_min / x) ** self.theta)
-
-    def sample(self, seed, size=None):
-        rng = np.random.default_rng(seed)
-        return self.sample_with(rng, size=size)
 
     def sample_with(self, rng: np.random.Generator, size=None):
         # inverse CDF: rho_min * U**(-1/theta)

@@ -16,13 +16,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import config as cfgmod
 from . import mc
-from .analytics import AnalyticEngine, Scenario
+from .analytics import STRATEGIES, AnalyticEngine, Scenario
 from .errors import ParameterError
 from .geometry import Window
 
@@ -141,9 +141,8 @@ def _mc_row(scenario: Scenario, window: Window, cfg, param: str, value: float) -
 
 
 def _compute_row(cfg, scenario_kwargs, strategy, engine_name, param, value) -> ResultRow:
-    point = cfgmod.with_updates(cfg, strategy=strategy, **({_PARAM_TO_KEY[param]: value} if param in _PARAM_TO_KEY else {}))
-    if param == "antennas_m":
-        point = cfgmod.with_updates(point, antennas_m=int(value))
+    updates = {_PARAM_TO_KEY[param]: int(value) if param == "antennas_m" else value} if param in _PARAM_TO_KEY else {}
+    point = replace(cfg, strategy=strategy, **updates)
     scenario = cfgmod.to_scenario(point, **scenario_kwargs)
     try:
         if engine_name == "analytic":
@@ -255,7 +254,7 @@ def _load_config(args) -> cfgmod.RunConfig:
         updates["seed"] = args.seed
     if getattr(args, "strategy", None):
         updates["strategy"] = args.strategy
-    return cfgmod.with_updates(cfg, **updates) if updates else cfg
+    return replace(cfg, **updates)
 
 
 def _scenario_kwargs(args) -> dict:
@@ -269,7 +268,7 @@ def _add_common(p):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--strategy", choices=("ppp", "matern", "random"), default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument(
         "--shadowing-convention",
         choices=("paper-moments", "db-std"),
@@ -331,7 +330,7 @@ def _cmd_sweep(args) -> int:
         raise ParameterError("--values must be strictly increasing")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
-        if s not in ("ppp", "matern", "random"):
+        if s not in STRATEGIES:
             raise ParameterError(f"unknown strategy {s!r}")
     engines = _ENGINE_NAMES[args.engine]
     kw = _scenario_kwargs(args)

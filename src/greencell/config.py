@@ -6,7 +6,7 @@ exactly (shortest decimal representation, '.' separator).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .analytics import REGULARIZATIONS, STRATEGIES, Scenario
 from .channel import RadioParams, ShadowingModel, TrafficModel, noise_power_from_dbm
@@ -132,7 +132,3 @@ def to_scenario(
 
 def to_window(cfg: RunConfig) -> Window:
     return Window(cfg.window_m / 2.0, cfg.guard_m)
-
-
-def with_updates(cfg: RunConfig, **kwargs) -> RunConfig:
-    return replace(cfg, **kwargs)

@@ -5,6 +5,8 @@ are sampled on the larger (guarded) square, while measurements are taken
 only on the inner square, so that dependent thinning and interference at
 measured points are free of edge effects (minus sampling).
 
+The random primitives take a seed or a ``Generator``, drawn from in place,
+so the Monte Carlo engine composes them on one per-realization stream.
 Everything is deterministic given an explicit seed.
 """
 from __future__ import annotations
@@ -66,7 +68,8 @@ class MarkedPointSet:
 
 
 def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
-    """Homogeneous Poisson process on the sampling region, as an (n, 2) array."""
+    """Homogeneous Poisson process on the sampling region, as an (n, 2) array;
+    ``seed`` is a seed or a ``Generator``, drawn from in place."""
     if intensity < 0:
         raise ParameterError(f"intensity must be >= 0, got {intensity}")
     rng = np.random.default_rng(seed)
@@ -76,7 +79,8 @@ def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
 
 
 def assign_marks(points: np.ndarray, seed) -> MarkedPointSet:
-    """Attach independent Uniform[0,1] marks to each point."""
+    """Attach independent Uniform[0,1] marks to each point; ``seed`` is a
+    seed or a ``Generator``, drawn from in place."""
     rng = np.random.default_rng(seed)
     return MarkedPointSet(points=np.asarray(points, float), marks=rng.uniform(size=len(points)))
 
@@ -106,7 +110,8 @@ def matern_ii_thin(marked: MarkedPointSet, delta: float) -> np.ndarray:
 
 
 def random_thin(points: np.ndarray, retain_prob: float, seed) -> np.ndarray:
-    """Independent thinning: each point kept with probability ``retain_prob``."""
+    """Independent thinning: each point kept with probability ``retain_prob``;
+    ``seed`` is a seed or a ``Generator``, drawn from in place."""
     if not 0.0 <= retain_prob <= 1.0:
         raise ParameterError(f"retain_prob must be in [0, 1], got {retain_prob}")
     pts = np.asarray(points, float)

@@ -8,13 +8,13 @@ realizations are scheduled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .analytics import AnalyticEngine, Scenario
-from .errors import NoActiveBaseStations, ParameterError
+from .errors import ParameterError
 from .geometry import Window
 
 
@@ -24,18 +24,15 @@ def child_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def sample_active(scenario: Scenario, window: Window, rng: np.random.Generator) -> np.ndarray:
-    """One realization of the active-station process for the strategy."""
+    """One realization of the active-station process for the strategy,
+    composed from the geometry primitives, each drawing from ``rng`` in place."""
     s = scenario
-    h = window.sampling_half_width
-    n = rng.poisson(s.hcpp.lambda_b * window.sampling_area)
-    pts = rng.uniform(-h, h, size=(n, 2))
+    pts = geometry.sample_ppp(s.hcpp.lambda_b, window, rng)
     if s.strategy == "ppp":
         return pts
     if s.strategy == "matern":
-        marked = geometry.MarkedPointSet(pts, rng.uniform(size=n))
-        return geometry.matern_ii_thin(marked, s.hcpp.delta)
-    keep = rng.uniform(size=n) < s.retain_probability
-    return pts[keep]
+        return geometry.matern_ii_thin(geometry.assign_marks(pts, rng), s.hcpp.delta)
+    return geometry.random_thin(pts, s.retain_probability, rng)
 
 
 @dataclass
@@ -60,7 +57,6 @@ class RealizationStats:
     """Per-realization record of the sampled network around the typical user."""
 
     active_count: int
-    retained_density: float
     serving_distance: np.ndarray  # per UE, m
     interference: np.ndarray  # per UE, W
     sinr: np.ndarray
@@ -86,6 +82,23 @@ def _sample_offsets(engine: AnalyticEngine, rng: np.random.Generator, size: int)
     return np.interp(rng.uniform(size=size), cdf, r)
 
 
+def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min: float = 0.0):
+    """Shadowed gains omega^2 d^(-2 alpha) from every station to every user,
+    zero from stations closer than ``r_min``.  Returns each user's serving
+    distance, its server's gain (the nearest station's when ``serving_idx`` is
+    None) and the summed gain of the other stations.  The server's column is
+    zeroed, not subtracted from the total, which cancels when it dominates."""
+    d = np.sqrt(((stations[None, :, :] - users[:, None, :]) ** 2).sum(axis=2))
+    rows = np.arange(len(users))
+    if serving_idx is None:
+        serving_idx = d.argmin(axis=1)
+    omega = scenario.shadowing.sample_with(rng, size=d.shape)
+    gain = np.where(d >= r_min, omega**2 * d ** (-2.0 * scenario.radio.alpha), 0.0)
+    own = gain[rows, serving_idx]
+    gain[rows, serving_idx] = 0.0
+    return d[rows, serving_idx], own, gain.sum(axis=1)
+
+
 def run_realization(
     scenario: Scenario,
     window: Window,
@@ -104,16 +117,15 @@ def run_realization(
     excluded; its spatial expectation is divergent, see the analytics
     module).
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     if engine is None:
         engine = AnalyticEngine(scenario)
     s = scenario
     active = sample_active(s, window, rng)
     inner = geometry.in_measurement_region(active, window)
-    density = inner.sum() / window.area
     if len(active) == 0:
         empty = np.zeros(0)
-        return RealizationStats(0, 0.0, empty, empty, empty, empty, empty, no_coverage=True)
+        return RealizationStats(0, empty, empty, empty, empty, empty, no_coverage=True)
 
     k_int = max(int(round(engine.k_ue)), 1)
     if n_ue is None:
@@ -123,13 +135,8 @@ def run_realization(
     pfpp = s.radio.p_f * s.radio.p_p
 
     ue = rng.uniform(-window.half_width, window.half_width, size=(n_ue, 2))
-    d = np.sqrt(((active[None, :, :] - ue[:, None, :]) ** 2).sum(axis=2))
-    serving_idx = d.argmin(axis=1)
-    serving = d[np.arange(n_ue), serving_idx]
-    omega = s.shadowing.sample_with(rng, size=d.shape)
-    beta_sq = omega**2 * d ** (-2.0 * s.radio.alpha)
-    own = beta_sq[np.arange(n_ue), serving_idx]
-    interference = m2 * pfpp * (beta_sq.sum(axis=1) - own)
+    serving, own, other = _received_power(active, ue, None, rng, s)
+    interference = m2 * pfpp * other
     signal = m2 * pfpp * own
     sinr = signal / (interference + s.radio.noise_power)
     rate = np.log2(1.0 + sinr)
@@ -137,7 +144,7 @@ def run_realization(
     # per-station transmit power over sampled cells
     inner_idx = np.flatnonzero(inner)
     power = np.zeros(0)
-    if len(inner_idx) and len(active) > 1:
+    if n_power_bs and len(inner_idx) and len(active) > 1:
         sample_idx = inner_idx[:n_power_bs]
         radii = _sample_offsets(engine, rng, size=(len(active), k_int))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(active), k_int))
@@ -157,7 +164,6 @@ def run_realization(
 
     return RealizationStats(
         active_count=int(inner.sum()),
-        retained_density=float(density),
         serving_distance=serving,
         interference=interference,
         sinr=sinr,
@@ -165,6 +171,21 @@ def run_realization(
         bs_tx_power=power,
         no_coverage=False,
     )
+
+
+def _probe_interference(scenario: Scenario, window: Window, r_int: float, rng) -> np.ndarray | None:
+    """Summed interferer gains at probe users placed ``r_int`` from every
+    active station in the measurement region, at a uniform angle; ``None``
+    when the realization has no host or no interferer."""
+    active = sample_active(scenario, window, rng)
+    inner = geometry.in_measurement_region(active, window)
+    hosts = active[inner]
+    if len(hosts) == 0 or len(active) < 2:
+        return None
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=len(hosts))
+    probes = hosts + r_int * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    _, _, other = _received_power(active, probes, np.flatnonzero(inner), rng, scenario, r_min=r_int)
+    return other
 
 
 def estimate_interference(
@@ -201,21 +222,8 @@ def estimate_interference(
     )
     means = []
     for k in range(n):
-        rng = child_rng(master_seed, k)
-        active = sample_active(s, window, rng)
-        inner = geometry.in_measurement_region(active, window)
-        hosts = active[inner]
-        if len(hosts) == 0 or len(active) < 2:
-            means.append(0.0)
-            continue
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=len(hosts))
-        probes = hosts + r_int * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        d = np.sqrt(((active[None, :, :] - probes[:, None, :]) ** 2).sum(axis=2))
-        omega = s.shadowing.sample_with(rng, size=d.shape)
-        contrib = np.where(d >= r_int, omega**2 * d ** (-2.0 * s.radio.alpha), 0.0)
-        host_idx = np.flatnonzero(inner)
-        contrib[np.arange(len(hosts)), host_idx] = 0.0  # the server itself
-        means.append(m2 * pfpp * float(contrib.sum(axis=1).mean()))
+        gains = _probe_interference(s, window, r_int, child_rng(master_seed, k))
+        means.append(0.0 if gains is None else m2 * pfpp * float(gains.mean()))
     est = _mc_estimate(np.asarray(means))
     if est.mean > 0 and tail > 1e-3 * est.mean:
         est = McEstimate(est.mean + tail, est.std_error, est.realization_count)
@@ -233,20 +241,11 @@ def estimate_rate_at_distance(
     means = []
     for k in range(n):
         rng = child_rng(master_seed, k)
-        active = sample_active(s, window, rng)
-        inner = geometry.in_measurement_region(active, window)
-        hosts = active[inner]
-        if len(hosts) == 0 or len(active) < 2:
+        gains = _probe_interference(s, window, r_int, rng)
+        if gains is None:
             continue
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=len(hosts))
-        probes = hosts + r_int * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        d = np.sqrt(((active[None, :, :] - probes[:, None, :]) ** 2).sum(axis=2))
-        omega = s.shadowing.sample_with(rng, size=d.shape)
-        contrib = np.where(d >= r_int, omega**2 * d ** (-2.0 * s.radio.alpha), 0.0)
-        host_idx = np.flatnonzero(inner)
-        contrib[np.arange(len(hosts)), host_idx] = 0.0
-        interference = m2 * pfpp * contrib.sum(axis=1)
-        omega0 = s.shadowing.sample_with(rng, size=len(hosts))
+        interference = m2 * pfpp * gains
+        omega0 = s.shadowing.sample_with(rng, size=len(gains))
         signal = m2 * pfpp * omega0**2 * r_int ** (-2.0 * s.radio.alpha)
         rate = np.log2(1.0 + signal / (interference + s.radio.noise_power))
         means.append(float(rate.mean()))

@@ -26,7 +26,7 @@ def test_shadowing_db_convention():
 
 def test_shadowing_sample_moments():
     m = ShadowingModel(0.5)
-    x = m.sample(seed=7, size=200_000)
+    x = m.sample_with(np.random.default_rng(7), size=200_000)
     assert abs(x.mean() / m.moment(1) - 1.0) < 0.01
     assert abs((x**2).mean() / m.moment(2) - 1.0) < 0.03
 
@@ -35,7 +35,7 @@ def test_shadowing_zero_sigma_degenerate():
     m = ShadowingModel(0.0)
     assert m.moment(1) == 1.0
     assert m.moment(2) == 1.0
-    assert np.all(m.sample(seed=1, size=10) == 1.0)
+    assert np.all(m.sample_with(np.random.default_rng(1), size=10) == 1.0)
 
 
 def test_shadowing_validation():
@@ -103,6 +103,6 @@ def test_traffic_pdf_ccdf_consistent():
 
 def test_traffic_sample_moments():
     t = TrafficModel(theta=3.0, rho_min=1.0)
-    x = t.sample(seed=11, size=200_000)
+    x = t.sample_with(np.random.default_rng(11), size=200_000)
     assert np.all(x >= t.rho_min)
     assert abs(x.mean() / t.mean() - 1.0) < 0.01

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,29 @@ def test_run_realization_deterministic(scenario, engine):
     b = mc.run_realization(scenario, WINDOW, mc.child_rng(3, 1), engine=engine)
     assert np.array_equal(a.rate, b.rate)
     assert np.array_equal(a.bs_tx_power, b.bs_tx_power)
+
+
+def test_run_realization_interference_next_to_server(monkeypatch, scenario, engine):
+    """A user 1 m from its server, every other station >= 300 m away: the
+    interference is the direct sum of the others' gains (omega == 1 at
+    sigma_s = 0), not the total minus the dominant own term, which cancels."""
+    others = np.array([[300.0, 0.0], [0.0, -400.0], [-500.0, 350.0], [420.0, 610.0]])
+    placed = {}
+
+    def stations_around_user(scenario, window, rng):
+        # the users are the next draw from the stream: read it from a copy
+        ue = copy.deepcopy(rng).uniform(-window.half_width, window.half_width, size=(1, 2))[0]
+        placed["ue"] = ue
+        placed["stations"] = np.vstack([ue + [1.0, 0.0], ue + others])
+        return placed["stations"]
+
+    monkeypatch.setattr(mc, "sample_active", stations_around_user)
+    stats = mc.run_realization(scenario, WINDOW, mc.child_rng(4, 0), engine=engine, n_ue=1, n_power_bs=0)
+    d = np.sqrt(((placed["stations"] - placed["ue"]) ** 2).sum(axis=1))
+    assert stats.serving_distance[0] == pytest.approx(1.0, rel=1e-9)
+    radio = scenario.radio
+    expected = float(radio.antennas_m) ** 2 * radio.p_f * radio.p_p * (d[1:] ** (-2.0 * radio.alpha)).sum()
+    assert stats.interference[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_interference_matches_analytic(scenario, engine):
