@@ -20,147 +20,16 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import hcpp
 from .channel import RadioParams, ShadowingModel, TrafficModel
-from .errors import (
-    InterferenceDivergenceError,
-    MonotonicityError,
-    ParameterError,
-)
+from .errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from .hcpp import HcppParams
+from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
+from .quadrature import _panelize, gauss_hermite, gauss_legendre  # noqa: F401  (re-exported)
 
 STRATEGIES = ("ppp", "matern", "random")
 REGULARIZATIONS = ("exclusion-ball", "min-distance", "none")
-
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
-
-
-def _two_sum(a, b):
-    """(s, e) with s + e == a + b exactly (Knuth)."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _fast_two_sum(a, b):
-    """(s, e) with s + e == a + b exactly, given |a| >= |b|."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a):
-    """(hi, lo) with hi + lo == a and hi holding at most 26 significant bits."""
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _dd_mul(a, b):
-    """Product of two double-double (hi, lo) values.  The exact product of
-    the high parts uses Dekker's split, so no fused multiply-add is needed."""
-    p = a[0] * b[0]
-    ah, al = _split(a[0])
-    bh, bl = _split(b[0])
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return _fast_two_sum(p, e + (a[0] * b[1] + a[1] * b[0]))
-
-
-def _dd_scale(k, b):
-    """Integer ``k`` (|k| < 2**26, so it needs no split) times a double-double."""
-    p = k * b[0]
-    bh, bl = _split(b[0])
-    return _fast_two_sum(p, ((k * bh - p) + k * bl) + k * b[1])
-
-
-def _dd_add(a, b):
-    """Sum of two double-double values; safe under cancellation."""
-    s, e = _two_sum(a[0], b[0])
-    return _two_sum(s, e + (a[1] + b[1]))
-
-
-def _recurrence(x, a, c):
-    """q_{n-1}, q_n and q_n' at ``x`` for q_{k+1} = a_k x q_k - c_k q_{k-1},
-    q_0 = 1, n = len(a).  ``x`` is an array, or a double-double (hi, lo)
-    pair of arrays, which makes every returned value such a pair."""
-    if isinstance(x, tuple):
-        mul, scale, add = _dd_mul, _dd_scale, _dd_add
-        zero = (np.zeros_like(x[0]),) * 2
-        one = (zero[0] + 1.0, zero[0])
-    else:
-        mul = scale = np.multiply
-        add = np.add
-        zero, one = np.zeros_like(x), np.ones_like(x)
-    q_prev, q, dq_prev, dq = zero, one, zero, zero
-    for ak, ck in zip(a, c):
-        q_prev, q, dq_prev, dq = (
-            q,
-            add(scale(ak, mul(x, q)), scale(-ck, q_prev)),
-            dq,
-            add(scale(ak, add(q, mul(x, dq))), scale(-ck, dq_prev)),
-        )
-    return q_prev, q, dq
-
-
-def _gauss_rule(a, c, mu0, grid):
-    """Gauss rule for the even degree n = len(a) member of a symmetric family
-    q_{k+1} = a_k x q_k - c_k q_{k-1} with integer a_k, c_k (exact in double),
-    weights summing to the measure's mass ``mu0``.
-
-    No eigensolver: the positive roots are bracketed by sign changes on
-    ``grid`` (ascending from 0, fine enough to separate them), Newton-iterated
-    on the recurrence in double, then given two Newton steps in double-double
-    arithmetic.  The weights 1 / (q_{n-1} q_n') are evaluated at that
-    double-double root: taken at the rounded node, or with the recurrence in
-    plain double, they are off by up to ~500 ulp near the ends of the
-    interval.  Nodes come out correctly rounded and weights within 4 ulp of
-    50-digit rules (tests/test_analytics.py).
-    """
-    n = len(a)
-    if n % 2 or max(a.max(), c.max()) >= 2.0**26:
-        raise ValueError("need an even degree and integer coefficients below 2**26")
-    q = _recurrence(grid, a, c)[1]
-    i = np.flatnonzero(np.signbit(q[:-1]) != np.signbit(q[1:]))
-    if len(i) != n // 2:
-        raise ArithmeticError(f"grid separates {len(i)} of {n // 2} positive roots")
-    x = grid[i] - q[i] * (grid[i + 1] - grid[i]) / (q[i + 1] - q[i])
-    x = np.concatenate([-x[::-1], x])  # exact mirror images: q_n is even
-    for _ in range(50):
-        _, q, dq = _recurrence(x, a, c)
-        step = q / dq
-        x = x - step
-        if np.abs(step).max() <= 1e-13 * x.max():
-            break
-    else:
-        raise ArithmeticError("Gauss rule Newton iteration did not converge")
-    x = (x, np.zeros_like(x))
-    for _ in range(2):
-        q_prev, q, dq = _recurrence(x, a, c)
-        x = _two_sum(x[0], x[1] - (q[0] + q[1]) / dq[0])
-    p = _dd_mul(q_prev, dq)
-    u = 1.0 / (p[0] + p[1])
-    return x[0], u * (mu0 / u.sum())
-
-
-def gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1]; (k+1)! P_{k+1}
-    is the integer-coefficient recurrence."""
-    k = np.arange(n, dtype=float)
-    return _gauss_rule(2.0 * k + 1.0, k * k, 2.0, np.cos(np.linspace(0.5 * np.pi, 0.0, 8 * n)))
-
-
-def gauss_hermite(n: int):
-    """n-point Gauss-Hermite nodes and weights for the weight exp(-x^2);
-    every root of H_n lies below sqrt(2n + 1)."""
-    k = np.arange(n, dtype=float)
-    grid = np.linspace(0.0, np.sqrt(2.0 * n + 1.0), 8 * n)
-    return _gauss_rule(np.full(n, 2.0), 2.0 * k, np.sqrt(np.pi), grid)
-
-
-_GH_NODES, _GH_WEIGHTS = gauss_hermite(96)
-_GL_NODES, _GL_WEIGHTS = gauss_legendre(64)
-_GL32_NODES, _GL32_WEIGHTS = gauss_legendre(32)
 
 
 @dataclass(frozen=True)
@@ -205,17 +74,6 @@ class Scenario:
 class InversionResult(NamedTuple):
     r: float
     clipped: bool
-
-
-def _panelize(edges, nodes, weights):
-    """Gauss-Legendre nodes/weights on a sequence of contiguous panels."""
-    edges = np.asarray(edges, float)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
 
 
 class AnalyticEngine:
@@ -286,14 +144,9 @@ class AnalyticEngine:
         with |x_int| = r, under the scenario's regularization.  Geometry is
         centered on the serving station; ``u`` is the interferer's distance to
         it and ``dist`` its distance to the user."""
-        reg = self.scenario.regularization
-        if reg == "exclusion-ball":
-            return self._radial_integral_exclusion(np.atleast_1d(np.asarray(r, float)), p_exp)
-        return np.array(
-            [self._radial_integral_quad(float(ri), p_exp) for ri in np.atleast_1d(np.asarray(r, float))]
-        )
-
-    def _radial_integral_exclusion(self, r: np.ndarray, p_exp: float) -> np.ndarray:
+        r = np.atleast_1d(np.asarray(r, float))
+        if self.scenario.regularization != "exclusion-ball":
+            return np.array([self._radial_integral_quad(float(ri), p_exp) for ri in r])
         if np.any(r <= 0):
             raise ParameterError("serving distance must be > 0")
         return np.array([self._exclusion_single(float(ri), p_exp) for ri in r])
@@ -437,9 +290,8 @@ class AnalyticEngine:
         model = self.nearest_model
         r_sup = model.support_radius()
         delta = self._hard_core
-        edges = sorted({0.0, delta / 2.0, delta, 2.0 * delta, r_sup / 2.0, r_sup} - {0.0})
-        edges = [0.0] + [e for e in edges if e < r_sup] + [r_sup]
-        r, w = _panelize(np.unique(edges), _GL32_NODES, _GL32_WEIGHTS)
+        edges = (0.0, delta / 2.0, delta, 2.0 * delta, r_sup / 2.0, r_sup)
+        r, w = _panelize(np.unique([e for e in edges if e <= r_sup]), _GL32_NODES, _GL32_WEIGHTS)
         f = np.asarray(model.pdf(r), float)
         return r, w * f
 
@@ -522,15 +374,28 @@ class AnalyticEngine:
         if gamma <= g_grid[-1]:
             return InversionResult(float(r_grid[-1]), clipped=gamma < g_grid[-1])
         k = int(np.searchsorted(-g_grid, -gamma))
-        lo, hi = float(r_grid[k - 1]), float(r_grid[k])
-
-        def f(r):
-            return float(self.sinr_of_distance(r)) - gamma
-
-        root = brentq(f, lo, hi, xtol=1e-12, rtol=1e-13)
-        if abs(float(self.sinr_of_distance(root)) - gamma) > 1e-9 * gamma:
+        # Regula falsi on f = log(SINR / gamma) vs x = log r from the grid bracket
+        # (Anderson-Bjorck's Illinois variant): (b, fb) is the latest exact-kernel
+        # iterate and the root; (a, fa) the last of opposite sign, shrunk when kept.
+        a, b = np.log(r_grid[k - 1 : k + 1])
+        fa, fb = np.log(g_grid[k - 1 : k + 1] / gamma)
+        f_tol = 1e-13 * (fa - fb) / (b - a)  # |f| that puts x within ~1e-13
+        for _ in range(100):
+            x = b - fb * (b - a) / (fb - fa)
+            r = float(np.exp(x))
+            g = float(self.sinr_of_distance(r))
+            fx = np.log(g / gamma)
+            if abs(fx) <= f_tol or abs(x - b) <= 1e-14:
+                break
+            if (fx > 0) != (fb > 0):
+                a, fa = b, fb
+            else:
+                m = 1.0 - fx / fb
+                fa *= m if m > 0 else 0.5
+            b, fb = x, fx
+        if abs(g - gamma) > 1e-9 * gamma:
             raise MonotonicityError("SINR inversion failed to polish")
-        return InversionResult(float(root), clipped=False)
+        return InversionResult(r, clipped=False)
 
     def _sinr_slope(self, r: float) -> float:
         """d(SINR)/dr by central finite difference."""

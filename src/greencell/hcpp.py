@@ -8,10 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import NormalizationFitError, ParameterError
+from .quadrature import _GL32_NODES, _GL32_WEIGHTS, _panelize
 
 
 @dataclass(frozen=True)
@@ -123,47 +123,37 @@ class NearestPdfModel:
 
     def pdf(self, r):
         r = np.asarray(r, float)
-        out = (
-            self.prefactor
-            * r
-            * np.exp(-self.lambda_star_fit * np.asarray(excluded_area_or_disk(r, self.params.delta), float))
-        )
+        d = self.params.delta
+        area = excluded_area(r, d) if d > 0 else np.pi * r**2 / 2.0  # half disk at d = 0
+        out = self.prefactor * r * np.exp(-self.lambda_star_fit * np.asarray(area, float))
         return out if out.ndim else float(out)
 
     def cdf(self, r: float) -> float:
-        val, _ = quad(self.pdf, 0.0, r, limit=200)
-        return float(val)
+        """Mass on [0, r]: linear PDF up to delta/2, then, as the excluded area
+        opens like sqrt(r - delta/2), analytic in t = sqrt(r - delta/2) on
+        32-node Gauss-Legendre panels of at most two decay lengths
+        (lambda* pi t^4 / 2 = 1); within 1e-14 of a 30-digit oracle."""
+        h = self.params.delta / 2.0
+        if r <= h:
+            return 0.5 * self.prefactor * r * r
+        t_hi = np.sqrt(r - h)
+        n = max(4, int(np.ceil(0.5 * t_hi * (self.lambda_star_fit * np.pi / 2.0) ** 0.25)))
+        t, w = _panelize(np.linspace(0.0, t_hi, n + 1), _GL32_NODES, _GL32_WEIGHTS)
+        return float(0.5 * self.prefactor * h * h + (w * 2.0 * t * self.pdf(h + t * t)).sum())
 
     def support_radius(self, tail: float = 1e-9) -> float:
-        """Radius beyond which the remaining PDF mass is below ``tail``."""
+        """Radius beyond which the remaining PDF mass is at most ``tail``."""
         r = self.params.delta if self.params.delta > 0 else 1.0
-        while self.cdf(r) < 1.0 - tail:
+        while r <= 1e7 and 1.0 - self.cdf(r) > tail:
             r *= 1.5
-            if r > 1e7:
-                break
         return r
 
 
-def excluded_area_or_disk(r, delta: float):
-    """excluded_area for delta > 0; the half-disk limit pi r^2 / 2 at delta = 0."""
-    if delta > 0:
-        return excluded_area(r, delta)
-    r = np.asarray(r, float)
-    out = np.pi * r**2 / 2.0
-    return out if out.ndim else float(out)
-
-
 def _pdf_integral(p: HcppParams, lam_star: float) -> float:
-    """Total mass of the (unnormalized) nearest-distance PDF for a trial
-    normalization constant."""
-    model = NearestPdfModel(p, lam_star)
+    """Total mass of the nearest-distance PDF for a trial normalization constant."""
     # integrand decays like exp(-lam* pi r^2 / 2); truncate where negligible
-    r_hi = np.sqrt(80.0 / (lam_star * np.pi / 2.0)) if lam_star > 0 else np.inf
-    r_hi = max(r_hi, 4.0 * p.delta + 1.0)
-    pts = [p.delta / 2.0, p.delta, 2.0 * p.delta] if p.delta > 0 else None
-    pts = [x for x in pts if x < r_hi] if pts else None
-    val, _ = quad(model.pdf, 0.0, r_hi, points=pts, limit=400, epsabs=1e-12, epsrel=1e-12)
-    return float(val)
+    r_hi = max(np.sqrt(80.0 / (lam_star * np.pi / 2.0)), 4.0 * p.delta + 1.0)
+    return NearestPdfModel(p, lam_star).cdf(r_hi)
 
 
 def fit_lambda_star(p: HcppParams, tol: float = 1e-9) -> float:

@@ -170,14 +170,31 @@ def test_tx_power_divergence_at_low_alpha():
         eng.avg_tx_power()
 
 
-def test_sinr_inversion_round_trip(matern_engine):
-    for r in (40.0, 120.0, 350.0, 900.0):
+def test_sinr_inversion_round_trip(matern_engine, monkeypatch):
+    # every iterate is one exact kernel call; the root is the last iterate
+    calls = []
+    kernel = AnalyticEngine.interference_base
+
+    def counted(self, r):
+        calls.append(r)
+        return kernel(self, r)
+
+    r_grid, g_grid = matern_engine._sinr_grid
+    monkeypatch.setattr(AnalyticEngine, "interference_base", counted)
+    for r in np.geomspace(1.0, 3000.0, 20):
         gamma = matern_engine.sinr_of_distance(r)
+        calls.clear()
         res = matern_engine.invert_sinr(gamma)
         assert not res.clipped
-        assert res.r == pytest.approx(r, rel=1e-8)
-    assert matern_engine.invert_sinr(1e30).clipped
-    assert matern_engine.invert_sinr(1e-30).clipped
+        assert res.r == pytest.approx(r, rel=1e-12)
+        assert 1 <= len(calls) <= 6
+    # the ends clip to the grid and flag it, without a kernel call
+    calls.clear()
+    assert matern_engine.invert_sinr(1e30) == (r_grid[0], True)
+    assert matern_engine.invert_sinr(1e-30) == (r_grid[-1], True)
+    assert matern_engine.invert_sinr(g_grid[0]) == (r_grid[0], False)
+    assert matern_engine.invert_sinr(g_grid[-1]) == (r_grid[-1], False)
+    assert not calls
 
 
 def test_coverage_paths_agree(matern_engine):

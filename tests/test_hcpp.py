@@ -92,6 +92,68 @@ def test_nearest_model_cdf_monotone():
     assert model.cdf(model.support_radius()) > 1.0 - 1e-6
 
 
+def _mp_cdf(model, radii, dps=30):
+    """Nearest-law CDF of ``model`` at ascending ``radii`` in ``dps``-digit
+    arithmetic: closed form up to delta/2, then adaptive tanh-sinh segments
+    (in t = sqrt(r - delta/2) on the first, which removes the square-root
+    opening of the excluded area)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        d = mp.mpf(model.params.delta)
+        lam, pre = mp.mpf(model.lambda_star_fit), mp.mpf(model.prefactor)
+        h = d / 2
+
+        def pdf(r):
+            x = d / (2 * r)
+            area = mp.pi * r**2 - (2 * mp.asin(x) + mp.acos(x)) * r**2 + d * mp.sqrt(r**2 - h**2)
+            return pre * r * mp.exp(-lam * area)
+
+        out, acc, prev = [], None, None
+        for r in map(mp.mpf, radii):
+            if r <= h:
+                out.append(float(pre * r * r / 2))
+                continue
+            if acc is None:
+                t_hi = mp.sqrt(r - h)
+                acc = pre * h * h / 2 + mp.quad(lambda t: 2 * t * pdf(h + t * t), mp.linspace(0, t_hi, 9))
+            else:
+                acc += mp.quad(pdf, mp.linspace(prev, r, 9))
+            prev = r
+            out.append(float(acc))
+    return out
+
+
+@pytest.mark.parametrize("lam, delta", [(1e-4, 50.0), (1e-4, 200.0), (3e-5, 300.0), (1e-3, 200.0)])
+def test_nearest_model_cdf_matches_30_digit_oracle(lam, delta):
+    model = hcpp.fit_nearest_model(HcppParams(lam, delta))
+    radii = np.geomspace(0.3 * delta, 6000.0, 12)
+    want = _mp_cdf(model, radii)
+    got = [model.cdf(r) for r in radii]
+    assert max(abs(g / w - 1.0) for g, w in zip(got, want)) <= 1e-14
+
+
+def test_nearest_model_cdf_zero_delta_closed_form():
+    lam_star = 2e-4  # the fitted constant at delta = 0 is 2 * lambda_b
+    model = hcpp.NearestPdfModel(HcppParams(1e-4, 0.0), lam_star)
+    for r in (1.0, 30.0, 80.0, 150.0, 300.0, 6000.0):
+        want = -np.expm1(-lam_star * np.pi * r**2 / 2.0)
+        assert model.cdf(r) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("lam, delta", [(1e-4, 200.0), (3e-4, 50.0), (3e-5, 150.0), (1e-4, 0.0)])
+def test_support_radius_bounds_the_tail(lam, delta):
+    # the first radius on the search grid (x1.5 steps) whose remaining mass,
+    # by the oracle, is <= tail
+    model = hcpp.fit_nearest_model(HcppParams(lam, delta))
+    radii = {tail: model.support_radius(tail) for tail in (1e-9, 1e-7)}
+    steps = sorted({x for r in radii.values() for x in (r / 1.5, r)})
+    mass = dict(zip(steps, _mp_cdf(model, steps)))
+    for tail, r in radii.items():
+        assert 1.0 - mass[r] <= tail
+        if r > max(delta, 1.0):
+            assert 1.0 - mass[r / 1.5] > tail
+
+
 def test_nearest_model_small_delta_is_rayleigh():
     # as delta -> 0 the PDF collapses to the Poisson contact law, even though
     # the fitted normalization constant tends to 2*lambda_b (the excluded
