@@ -14,7 +14,7 @@ is exactly what nearest-station association realizes in the simulator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -26,10 +26,11 @@ from .channel import RadioParams, ShadowingModel, TrafficModel
 from .errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from .hcpp import HcppParams
 from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
-from .quadrature import _panelize, gauss_hermite, gauss_legendre  # noqa: F401  (re-exported)
+from .quadrature import _panelize
 
 STRATEGIES = ("ppp", "matern", "random")
 REGULARIZATIONS = ("exclusion-ball", "min-distance", "none")
+MIN_DISTANCE_EPS = 1.0  # m; interferer distance floor of the "min-distance" regularization
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,6 @@ class Scenario:
     ues_per_cell: int = 5
     strategy: str = "matern"
     regularization: str = "exclusion-ball"
-    min_distance_eps: float = 1.0
-    sinr_shadow_weight: str = "mean-square"  # or "unit"
     random_mode: str = "retain"  # 'retain': keep prob = matched density ratio
 
     def __post_init__(self) -> None:
@@ -54,13 +53,8 @@ class Scenario:
             raise ParameterError(f"strategy must be one of {STRATEGIES}")
         if self.regularization not in REGULARIZATIONS:
             raise ParameterError(f"regularization must be one of {REGULARIZATIONS}")
-        if self.sinr_shadow_weight not in ("mean-square", "unit"):
-            raise ParameterError("sinr_shadow_weight must be 'mean-square' or 'unit'")
         if self.random_mode not in ("retain", "remove"):
             raise ParameterError("random_mode must be 'retain' or 'remove'")
-
-    def with_strategy(self, strategy: str) -> "Scenario":
-        return replace(self, strategy=strategy)
 
     @property
     def retain_probability(self) -> float:
@@ -224,9 +218,7 @@ class AnalyticEngine:
                 )
             eps = 0.0
         else:
-            eps = s.min_distance_eps
-            if eps <= 0:
-                raise ParameterError("min_distance_eps must be > 0")
+            eps = MIN_DISTANCE_EPS
 
         def inner(u: float) -> float:
             def ang(psi: float) -> float:
@@ -335,16 +327,10 @@ class AnalyticEngine:
 
     # ---- SINR-vs-distance and coverage -----------------------------------
 
-    @cached_property
-    def _sinr_weight_sq(self) -> float:
-        if self.scenario.sinr_shadow_weight == "mean-square":
-            return self.scenario.shadowing.moment(2)
-        return 1.0
-
     def _sinr_from_base(self, r: np.ndarray, base: np.ndarray) -> np.ndarray:
         s = self.scenario
         m2 = float(s.radio.antennas_m) ** 2
-        num = m2 * (s.radio.p_f * s.radio.p_p * self._sinr_weight_sq * r ** (-2.0 * s.radio.alpha))
+        num = m2 * (s.radio.p_f * s.radio.p_p * s.shadowing.moment(2) * r ** (-2.0 * s.radio.alpha))
         return num / (m2 * base + s.radio.noise_power)
 
     def sinr_of_distance(self, r):

@@ -72,15 +72,6 @@ class RadioParams:
             raise ParameterError(f"alpha must be > 1, got {self.alpha}")
 
 
-def large_scale_coeff(omega, r, alpha: float):
-    """Shadowing over power-law path loss: omega * r**-alpha."""
-    r = np.asarray(r, float)
-    if np.any(r <= 0):
-        raise ParameterError("r must be > 0 (apply exclusion rules first)")
-    out = np.asarray(omega, float) * r ** (-alpha)
-    return out if out.ndim else float(out)
-
-
 def noise_power_from_dbm(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 

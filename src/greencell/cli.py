@@ -27,6 +27,7 @@ from .errors import ParameterError
 from .geometry import Window
 
 CSV_HEADER = "strategy,engine,param,value,lambda_star_density,lambda_star_fit,k_ue,ee,ce,ci_ee,ci_ce,seed"
+_CSV_FIELDS = CSV_HEADER.split(",")
 
 _PARAM_TO_KEY = {"lambda_b": "lambda_b", "delta": "delta_m", "antennas_m": "antennas_m"}
 _ENGINE_NAMES = {"analytic": ("analytic",), "mc": ("montecarlo",), "both": ("analytic", "montecarlo")}
@@ -56,28 +57,8 @@ class ResultRow:
     failure: str | None = None
 
     def to_csv(self) -> str:
-        def fmt(x):
-            if isinstance(x, float):
-                return repr(x)
-            return str(x)
-
-        return ",".join(
-            fmt(v)
-            for v in (
-                self.strategy,
-                self.engine,
-                self.param,
-                self.value,
-                self.lambda_star_density,
-                self.lambda_star_fit,
-                self.k_ue,
-                self.ee,
-                self.ce,
-                self.ci_ee,
-                self.ci_ce,
-                self.seed,
-            )
-        )
+        values = (getattr(self, name) for name in _CSV_FIELDS)
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
 def _thread_count() -> int:
@@ -149,21 +130,9 @@ def _compute_row(cfg, scenario_kwargs, strategy, engine_name, param, value) -> R
             return _analytic_row(scenario, point, param, float(value))
         return _mc_row(scenario, cfgmod.to_window(point), point, param, float(value))
     except Exception as exc:  # row-level failure: emit NaNs, keep sweeping
-        return ResultRow(
-            strategy=strategy,
-            engine=engine_name,
-            param=param,
-            value=float(value),
-            lambda_star_density=math.nan,
-            lambda_star_fit=math.nan,
-            k_ue=math.nan,
-            ee=math.nan,
-            ce=math.nan,
-            ci_ee=math.nan,
-            ci_ce=math.nan,
-            seed=point.seed,
-            failure=f"{type(exc).__name__}: {exc}",
-        )
+        fields = dict.fromkeys(_CSV_FIELDS, math.nan)
+        fields.update(strategy=strategy, engine=engine_name, param=param, value=float(value), seed=point.seed)
+        return ResultRow(**fields, failure=f"{type(exc).__name__}: {exc}")
 
 
 def _trend_assertions(rows: list[ResultRow], param: str) -> list[dict]:

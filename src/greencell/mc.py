@@ -9,6 +9,7 @@ realizations are scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,20 +66,22 @@ class RealizationStats:
     no_coverage: bool = False
 
 
-def _sample_offsets(engine: AnalyticEngine, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Serving-distance draws from the strategy's fitted nearest-distance
-    model, by inverse-CDF on a cached grid."""
-    model = engine.nearest_model
-    grid = getattr(engine, "_offset_grid", None)
-    if grid is None:
-        r_hi = model.support_radius(1e-7)
-        r = np.linspace(0.0, r_hi, 2048)
-        pdf = np.asarray(model.pdf(r), float)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(r))])
-        cdf /= cdf[-1]
-        grid = (r, cdf)
-        engine._offset_grid = grid
-    r, cdf = grid
+@lru_cache(maxsize=32)
+def _offset_table(model) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and normalized trapezoid CDF of a (frozen, hashable)
+    nearest-distance model, shared read-only by every draw from it."""
+    r = np.linspace(0.0, model.support_radius(1e-7), 2048)
+    pdf = np.asarray(model.pdf(r), float)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(r))])
+    cdf /= cdf[-1]
+    r.setflags(write=False)
+    cdf.setflags(write=False)
+    return r, cdf
+
+
+def _sample_offsets(model, rng: np.random.Generator, size) -> np.ndarray:
+    """Serving-distance draws from a nearest-distance model, by inverse CDF."""
+    r, cdf = _offset_table(model)
     return np.interp(rng.uniform(size=size), cdf, r)
 
 
@@ -146,7 +149,7 @@ def run_realization(
     power = np.zeros(0)
     if n_power_bs and len(inner_idx) and len(active) > 1:
         sample_idx = inner_idx[:n_power_bs]
-        radii = _sample_offsets(engine, rng, size=(len(active), k_int))
+        radii = _sample_offsets(engine.nearest_model, rng, size=(len(active), k_int))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(active), k_int))
         ue_cells = active[:, None, :] + np.stack(
             [radii * np.cos(angles), radii * np.sin(angles)], axis=-1

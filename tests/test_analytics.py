@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from greencell.analytics import AnalyticEngine, Scenario, gauss_hermite, gauss_legendre
+from greencell.analytics import AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel, TrafficModel
 from greencell.errors import InterferenceDivergenceError, ParameterError
 from greencell.hcpp import HcppParams, zeta1, zeta2
+from greencell.quadrature import gauss_hermite, gauss_legendre
 
 PARAMS = HcppParams(1e-4, 200.0)
 
@@ -116,7 +117,6 @@ def test_min_distance_regularization_finite():
         Scenario(
             PARAMS,
             regularization="min-distance",
-            min_distance_eps=1.0,
             shadowing=ShadowingModel(0.0),
         )
     )
@@ -286,10 +286,11 @@ def _max_ulps(values, exact):
     [("legendre", 32, gauss_legendre), ("legendre", 64, gauss_legendre), ("hermite", 96, gauss_hermite)],
 )
 def test_gauss_rules_match_50_digit_oracle(family, n, rule):
-    # the analytic engine's fixed rules: nodes correctly rounded (<= 1 ulp
-    # allowed), weights within 4 ulp; LAPACK-based rules miss by up to 1e4 ulp
+    # the analytic engine's fixed rules: nodes and weights correctly rounded
+    # (<= 0.5 ulp); LAPACK-based rules miss by up to 1e4 ulp
     x, w = rule(n)
     assert len(x) == n and np.all(np.diff(x) > 0) and np.all(x == -x[::-1])
+    assert np.all(w == w[::-1])
     xs, ws = _oracle_rule(family, x)
-    assert _max_ulps(x, xs) <= 1.0
-    assert _max_ulps(w, ws) <= 4.0
+    assert _max_ulps(x, xs) <= 0.5
+    assert _max_ulps(w, ws) <= 0.5

@@ -6,7 +6,6 @@ from greencell.channel import (
     RadioParams,
     ShadowingModel,
     TrafficModel,
-    large_scale_coeff,
     noise_power_from_dbm,
 )
 from greencell.errors import ParameterError
@@ -68,14 +67,6 @@ def test_radio_validation():
         RadioParams(p_f=-1.0)
     with pytest.raises(ParameterError):
         RadioParams(antennas_m=0)
-
-
-def test_large_scale_coeff():
-    assert large_scale_coeff(2.0, 10.0, 2.0) == pytest.approx(0.02, rel=1e-12)
-    v = large_scale_coeff(np.array([1.0, 4.0]), np.array([10.0, 10.0]), 4.0)
-    assert v == pytest.approx([1e-4, 4e-4], rel=1e-12)
-    with pytest.raises(ParameterError):
-        large_scale_coeff(1.0, 0.0, 4.0)
 
 
 def test_noise_power_from_dbm():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def test_sample_active_strategies(scenario):
     rng = mc.child_rng(1, 0)
     active = mc.sample_active(scenario, WINDOW, rng)
     assert geometry.min_pairwise_distance(active) >= PARAMS.delta
-    ppp = mc.sample_active(scenario.with_strategy("ppp"), WINDOW, mc.child_rng(1, 0))
+    ppp = mc.sample_active(dataclasses.replace(scenario, strategy="ppp"), WINDOW, mc.child_rng(1, 0))
     assert len(ppp) > len(active)
 
 
