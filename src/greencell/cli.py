@@ -2,7 +2,8 @@
 cross-engine comparison and the finite-antenna validation table.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 built-in trend
-assertion failure.  Output rows are computed independently per sweep point
+assertion failure or a ``compare`` verdict where the engines disagree.
+Output rows are computed independently per distinct sweep scenario
 (possibly in parallel, capped by NETSIM_THREADS) and written in declaration
 order, so the CSV is byte-identical regardless of scheduling.
 """
@@ -13,12 +14,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+import scipy
 
 from . import config as cfgmod
 from . import mc
@@ -121,17 +124,14 @@ def _mc_row(scenario: Scenario, window: Window, cfg, param: str, value: float) -
     )
 
 
-def _compute_row(cfg, scenario_kwargs, strategy, engine_name, param, value) -> ResultRow:
-    updates = {_PARAM_TO_KEY[param]: int(value) if param == "antennas_m" else value} if param in _PARAM_TO_KEY else {}
-    point = replace(cfg, strategy=strategy, **updates)
-    scenario = cfgmod.to_scenario(point, **scenario_kwargs)
+def _compute_row(point, scenario: Scenario, engine_name, param, value) -> ResultRow:
     try:
         if engine_name == "analytic":
             return _analytic_row(scenario, point, param, float(value))
         return _mc_row(scenario, cfgmod.to_window(point), point, param, float(value))
     except Exception as exc:  # row-level failure: emit NaNs, keep sweeping
         fields = dict.fromkeys(_CSV_FIELDS, math.nan)
-        fields.update(strategy=strategy, engine=engine_name, param=param, value=float(value), seed=point.seed)
+        fields.update(strategy=point.strategy, engine=engine_name, param=param, value=float(value), seed=point.seed)
         return ResultRow(**fields, failure=f"{type(exc).__name__}: {exc}")
 
 
@@ -200,6 +200,8 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
             if r.failure
         ],
         "assertions": assertions,
+        "toolchain": {"python": platform.python_version(), "numpy": np.__version__,
+                      "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -278,7 +280,8 @@ def build_parser() -> _Parser:
 def _cmd_point(args, engine_name: str) -> int:
     cfg = _load_config(args)
     t0 = time.time()
-    row = _compute_row(cfg, _scenario_kwargs(args), cfg.strategy, engine_name, "none", 0.0)
+    scenario = cfgmod.to_scenario(cfg, **_scenario_kwargs(args))
+    row = _compute_row(cfg, scenario, engine_name, "none", 0.0)
     if row.failure:
         print(f"error: {row.failure}", file=sys.stderr)
         return 1
@@ -304,15 +307,22 @@ def _cmd_sweep(args) -> int:
     engines = _ENGINE_NAMES[args.engine]
     kw = _scenario_kwargs(args)
 
-    tasks = [
-        (strategy, engine, args.param, value)
-        for strategy in strategies
-        for engine in engines
-        for value in values
-    ]
     t0 = time.time()
+    tasks, unique = [], {}
+    for strategy in strategies:
+        for engine in engines:
+            for value in values:
+                updates = {_PARAM_TO_KEY[args.param]: int(value) if args.param == "antennas_m" else value}
+                point = replace(cfg, strategy=strategy, **updates)
+                scenario = cfgmod.to_scenario(point, **kw)
+                # equal keys are one computation (every ppp row of a delta sweep),
+                # merged before the pool so that no two threads compute one row
+                key = (engine, scenario, cfgmod.to_window(point))
+                unique.setdefault(key, (point, scenario, engine, args.param, value))
+                tasks.append((key, value))
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(lambda t: _compute_row(cfg, kw, *t), tasks))
+        done = dict(zip(unique, pool.map(lambda t: _compute_row(*t), unique.values())))
+    rows = [replace(done[key], value=float(value)) for key, value in tasks]
     assertions = _trend_assertions(rows, args.param)
     _write_outputs(args.out, rows, cfg, assertions, time.time() - t0, gnuplot=args.gnuplot)
     failed = [a for a in assertions if not a["passed"]]
@@ -381,7 +391,8 @@ def _cmd_compare(args) -> int:
             f"{item['quantity']}: analytic={item['analytic']:.6g} "
             f"mc={item['mc_mean']:.6g}+-{item['mc_se']:.2g}  {item['verdict']}"
         )
-    return 0
+    agreed = all(item["verdict"] in ("agree", "lower-bound holds") for item in report)
+    return 0 if agreed else 2
 
 
 def _cmd_validate(args) -> int:
@@ -421,10 +432,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_validate(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ParameterError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

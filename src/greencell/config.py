@@ -109,8 +109,9 @@ def to_scenario(
     shadowing_convention: str = "paper-moments",
     random_mode: str = "retain",
 ) -> Scenario:
+    # ppp switches no station off: no hard core, one scenario at every delta_m
     return Scenario(
-        hcpp=HcppParams(cfg.lambda_b, cfg.delta_m),
+        hcpp=HcppParams(cfg.lambda_b, 0.0 if cfg.strategy == "ppp" else cfg.delta_m),
         radio=RadioParams(
             p_f=cfg.p_f_w,
             p_p=cfg.p_p_w,

@@ -91,15 +91,16 @@ def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min
     distance, its server's gain (the nearest station's when ``serving_idx`` is
     None) and the summed gain of the other stations.  The server's column is
     zeroed, not subtracted from the total, which cancels when it dominates."""
-    d = np.sqrt(((stations[None, :, :] - users[:, None, :]) ** 2).sum(axis=2))
+    d2 = (stations[None, :, 0] - users[:, None, 0]) ** 2
+    d2 += (stations[None, :, 1] - users[:, None, 1]) ** 2
     rows = np.arange(len(users))
     if serving_idx is None:
-        serving_idx = d.argmin(axis=1)
-    omega = scenario.shadowing.sample_with(rng, size=d.shape)
-    gain = np.where(d >= r_min, omega**2 * d ** (-2.0 * scenario.radio.alpha), 0.0)
+        serving_idx = d2.argmin(axis=1)
+    omega = scenario.shadowing.sample_with(rng, size=d2.shape)
+    gain = np.where(d2 >= r_min**2, omega**2 * d2 ** (-scenario.radio.alpha), 0.0)
     own = gain[rows, serving_idx]
     gain[rows, serving_idx] = 0.0
-    return d[rows, serving_idx], own, gain.sum(axis=1)
+    return np.sqrt(d2[rows, serving_idx]), own, gain.sum(axis=1)
 
 
 def run_realization(
@@ -151,19 +152,19 @@ def run_realization(
         sample_idx = inner_idx[:n_power_bs]
         radii = _sample_offsets(engine.nearest_model, rng, size=(len(active), k_int))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(active), k_int))
-        ue_cells = active[:, None, :] + np.stack(
-            [radii * np.cos(angles), radii * np.sin(angles)], axis=-1
-        )
-        omega_p = s.shadowing.sample_with(rng, size=(len(sample_idx), len(active), k_int))
+        ux = active[:, 0:1] + radii * np.cos(angles)
+        uy = active[:, 1:2] + radii * np.sin(angles)
+        radii2 = radii**2
         power = np.empty(len(sample_idx))
+        # per-station (cells, users) blocks draw what one (stations, cells, users) draw would
         for row, i in enumerate(sample_idx):
-            db = np.sqrt(((ue_cells - active[i]) ** 2).sum(axis=-1))
-            mask = np.ones(len(active), dtype=bool)
-            mask[i] = False  # own-cell sum excluded
+            d2 = (ux - active[i, 0]) ** 2 + (uy - active[i, 1]) ** 2
+            omega = s.shadowing.sample_with(rng, size=d2.shape)
             # a user closer to this station than to its own server would have
             # associated here instead, so such contributions never occur
-            terms = np.where(db >= radii, omega_p[row] * db ** (-s.radio.alpha), 0.0)
-            power[row] = m * s.radio.p_p * float(terms[mask].sum())
+            terms = np.where(d2 >= radii2, omega * d2 ** (-s.radio.alpha / 2.0), 0.0)
+            terms[i] = 0.0  # own-cell sum excluded
+            power[row] = m * s.radio.p_p * float(terms.sum())
 
     return RealizationStats(
         active_count=int(inner.sum()),
@@ -277,13 +278,12 @@ def estimate_ee(
     per-station power, across independent realizations."""
     if engine is None:
         engine = AnalyticEngine(scenario)
-    k_ue = engine.k_ue
     rates, powers = [], []
     for k in range(n):
         stats = run_realization(scenario, window, child_rng(master_seed, k), engine=engine, n_ue=n_ue)
         if stats.no_coverage or len(stats.bs_tx_power) == 0:
             continue
-        rates.append(k_ue * float(stats.rate.mean()))
+        rates.append(engine.k_ue * float(stats.rate.mean()))
         powers.append(
             float(stats.bs_tx_power.mean()) / scenario.radio.eta
             + scenario.radio.antennas_m * scenario.radio.p_rf_chain

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from greencell import cli
+from greencell import cli, mc
 
 FAST_CFG = """\
 lambda_b=1e-4
@@ -92,6 +93,29 @@ def test_sweep_deterministic_across_threads(cfg_file, tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_sweep_computes_each_distinct_scenario_once(cfg_file, tmp_path, monkeypatch):
+    """ppp rows do not depend on delta: a delta sweep computes them once and
+    writes the row at every value."""
+    calls = []
+    estimate_ee = mc.estimate_ee
+
+    def counted(scenario, *args, **kwargs):
+        calls.append(scenario.strategy)
+        return estimate_ee(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "estimate_ee", counted)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", cfg_file, "--param", "delta", "--values", "100,200"]
+    code = cli.main(argv + ["--strategies", "ppp,matern", "--engine", "mc", "--out", str(out)])
+    assert code == 0
+    assert sorted(calls) == ["matern", "matern", "ppp"]
+    lines = (out / "results.csv").read_text().splitlines()
+    value = lines[0].split(",").index("value")
+    ppp = [line.split(",") for line in lines[1:] if line.startswith("ppp,")]
+    assert [row.pop(value) for row in ppp] == ["100.0", "200.0"]
+    assert ppp[0] == ppp[1]
+
+
 def test_sweep_trend_assertions_recorded(cfg_file, tmp_path):
     out = tmp_path / "out"
     code = cli.main(
@@ -142,6 +166,15 @@ def test_sweep_antenna_assertions(cfg_file, tmp_path):
     assert names["ce-flat-in-antennas"] is True
 
 
+def test_summary_records_toolchain(cfg_file, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["analytic", "--config", cfg_file, "--out", str(out)]) == 0
+    toolchain = json.loads((out / "summary.json").read_text())["toolchain"]
+    assert set(toolchain) == {"python", "numpy", "scipy", "cpu_count"}
+    assert toolchain["numpy"] == np.__version__
+    assert (out / "results.csv").read_text().splitlines()[0] == cli.CSV_HEADER
+
+
 def test_unknown_config_key_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus=1\n")
@@ -166,13 +199,17 @@ def test_validate_asymptotics_exit_codes(cfg_file):
 
 def test_compare_writes_report(cfg_file, tmp_path):
     out = tmp_path / "out"
-    assert cli.main(["compare", "--config", cfg_file, "--out", str(out), "--r-int", "100"]) == 0
+    # exit 2: coverage disagrees here, through the closed-form serving-distance
+    # law that criterion 4 finds off
+    assert cli.main(["compare", "--config", cfg_file, "--out", str(out), "--r-int", "100"]) == 2
     report = json.loads((out / "compare.json").read_text())
     quantities = {item["quantity"] for item in report}
     assert "interference@100m" in quantities
     assert "energy-efficiency" in quantities
     jensen = [i for i in report if i["quantity"] == "energy-efficiency"][0]
     assert jensen["jensen_direction"] is True
+    coverage = [i for i in report if i["quantity"] == "coverage-efficiency"][0]
+    assert coverage["verdict"].startswith("disagree")
 
 
 def test_gnuplot_script_emitted(cfg_file, tmp_path):

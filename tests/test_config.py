@@ -77,6 +77,15 @@ def test_to_scenario_and_window():
     assert w.guard == 500.0
 
 
+def test_to_scenario_ppp_has_no_hard_core():
+    """ppp switches nothing off: its scenario is the same at every delta_m,
+    while matern's is not."""
+    for strategy, same in (("ppp", True), ("matern", False)):
+        a, b = (cfgmod.to_scenario(cfgmod.RunConfig(strategy=strategy, delta_m=d)) for d in (100.0, 200.0))
+        assert (a == b) is same
+    assert cfgmod.to_scenario(cfgmod.RunConfig(strategy="ppp")).hcpp.delta == 0.0
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("delta_m=300\nseed=9\n")

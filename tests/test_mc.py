@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +84,51 @@ def test_run_realization_interference_next_to_server(monkeypatch, scenario, engi
     radio = scenario.radio
     expected = float(radio.antennas_m) ** 2 * radio.p_f * radio.p_p * (d[1:] ** (-2.0 * radio.alpha)).sum()
     assert stats.interference[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_station_power_matches_direct_sum(monkeypatch):
+    """Per-station transmit power against m * P_p * sum(omega * d^-alpha),
+    summed one (station, cell, user) term at a time from a replay of the
+    realization's stream: cells other than the station's own, users no
+    closer to the station than to their own server."""
+    scenario = Scenario(PARAMS, shadowing=ShadowingModel(6.0, "db-std"))
+    engine = AnalyticEngine(scenario)
+    layout = np.array([[0.0, 0.0], [260.0, 40.0], [-180.0, 230.0], [90.0, -310.0], [-400.0, -150.0]])
+    replay = {}
+
+    def fixed_layout(scenario, window, rng):
+        replay["rng"] = copy.deepcopy(rng)
+        return layout
+
+    monkeypatch.setattr(mc, "sample_active", fixed_layout)
+    n_ue = 2
+    stats = mc.run_realization(scenario, WINDOW, mc.child_rng(6, 0), engine=engine, n_ue=n_ue)
+
+    rng = replay["rng"]
+    n, k = len(layout), max(int(round(engine.k_ue)), 1)
+    rng.uniform(-WINDOW.half_width, WINDOW.half_width, size=(n_ue, 2))  # typical users
+    scenario.shadowing.sample_with(rng, size=(n_ue, n))  # their gains
+    radii = mc._sample_offsets(engine.nearest_model, rng, size=(n, k))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(n, k))
+    omega = scenario.shadowing.sample_with(rng, size=(n, n, k))  # every station is sampled
+    radio = scenario.radio
+    expected, excluded = [], 0
+    for i, (sx, sy) in enumerate(layout):
+        total = 0.0
+        for c, (cx, cy) in enumerate(layout):
+            if c == i:
+                continue
+            for u in range(k):
+                x = cx + radii[c, u] * math.cos(angles[c, u])
+                y = cy + radii[c, u] * math.sin(angles[c, u])
+                d = math.hypot(x - sx, y - sy)
+                if d >= radii[c, u]:
+                    total += omega[i, c, u] * d ** (-radio.alpha)
+                else:
+                    excluded += 1
+        expected.append(radio.antennas_m * radio.p_p * total)
+    assert excluded > 0  # the layout exercises the association rule
+    assert stats.bs_tx_power == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_interference_matches_analytic(scenario, engine):
