@@ -26,10 +26,11 @@ from .channel import RadioParams, ShadowingModel, TrafficModel
 from .errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from .hcpp import HcppParams
 from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
-from .quadrature import _panelize
+from .quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize
 
 STRATEGIES = ("ppp", "matern", "random")
 REGULARIZATIONS = ("exclusion-ball", "min-distance", "none")
+RANDOM_MODES = ("retain", "remove")
 MIN_DISTANCE_EPS = 1.0  # m; interferer distance floor of the "min-distance" regularization
 
 
@@ -53,8 +54,8 @@ class Scenario:
             raise ParameterError(f"strategy must be one of {STRATEGIES}")
         if self.regularization not in REGULARIZATIONS:
             raise ParameterError(f"regularization must be one of {REGULARIZATIONS}")
-        if self.random_mode not in ("retain", "remove"):
-            raise ParameterError("random_mode must be 'retain' or 'remove'")
+        if self.random_mode not in RANDOM_MODES:
+            raise ParameterError(f"random_mode must be one of {RANDOM_MODES}")
 
     @property
     def retain_probability(self) -> float:
@@ -137,20 +138,32 @@ class AnalyticEngine:
         """Integral of second_moment(|x|) * |x + x_int|^(-p_exp) over the plane,
         with |x_int| = r, under the scenario's regularization.  Geometry is
         centered on the serving station; ``u`` is the interferer's distance to
-        it and ``dist`` its distance to the user."""
+        it and ``dist`` its distance to the user; the other regularizations
+        add ``_disk_term`` to the exclusion-ball integral."""
         r = np.atleast_1d(np.asarray(r, float))
-        if self.scenario.regularization != "exclusion-ball":
-            return np.array([self._radial_integral_quad(float(ri), p_exp) for ri in r])
         if np.any(r <= 0):
             raise ParameterError("serving distance must be > 0")
-        return np.array([self._exclusion_single(float(ri), p_exp) for ri in r])
+        mode, delta = self.scenario.regularization, self._hard_core
+        if mode == "none" and delta == 0:
+            raise InterferenceDivergenceError(
+                "unregularized interference integral diverges for a Poisson-type "
+                "second moment (an interferer may coincide with the user)"
+            )
+        if mode == "none" and np.any(r >= delta):
+            raise InterferenceDivergenceError(
+                f"unregularized interference integral diverges for serving distance "
+                f"{r[r >= delta][0]:g} m >= hard-core distance {delta:g} m"
+            )
+        out = np.array([self._exclusion_single(float(ri), p_exp) for ri in r])
+        if mode == "exclusion-ball":
+            return out
+        eps = MIN_DISTANCE_EPS if mode == "min-distance" else 0.0
+        return out + [self._disk_term(float(ri), p_exp, eps) for ri in r]
 
     def _angular(self, u: np.ndarray, r: float, psi_min: np.ndarray, p_exp: float) -> np.ndarray:
         """2 * integral over psi in [psi_min, pi] of dist^-p, per u node."""
-        half = 0.5 * (np.pi - psi_min)
-        mid = 0.5 * (np.pi + psi_min)
-        psi = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        wpsi = half[:, None] * _GL_WEIGHTS[None, :]
+        edges = np.stack([psi_min, np.full_like(psi_min, np.pi)], axis=-1)
+        psi, wpsi = _panelize(edges, _GL_NODES, _GL_WEIGHTS)
         dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * np.cos(psi)
         return 2.0 * (wpsi * dist_sq ** (-p_exp / 2.0)).sum(axis=1)
 
@@ -191,50 +204,32 @@ class AnalyticEngine:
         k = np.asarray(self.second_moment(u), float)
         total += float((wu * u * k * self._angular(u, r, np.zeros_like(u), p_exp)).sum())
         # analytic tail beyond u_cut with second-order offset correction
-        tail = (
-            float(self.second_moment(u_cut * 2.0))
-            * 2.0
-            * np.pi
-            * u_cut ** (2.0 - p_exp)
-            / (p_exp - 2.0)
-            * (1.0 + p_exp * (p_exp - 2.0) * r**2 / (4.0 * u_cut**2))
-        )
-        return total + tail
+        far = float(self.second_moment(u_cut * 2.0)) * 2.0 * np.pi
+        tail = far * u_cut ** (2.0 - p_exp) / (p_exp - 2.0)
+        return total + tail * (1.0 + p_exp * (p_exp - 2.0) * r**2 / (4.0 * u_cut**2))
 
-    def _radial_integral_quad(self, r: float, p_exp: float) -> float:
-        """Adaptive-quadrature path for the 'none' and 'min-distance' modes."""
-        s = self.scenario
-        delta = self._hard_core
-        if s.regularization == "none":
-            if delta == 0:
-                raise InterferenceDivergenceError(
-                    "unregularized interference integral diverges for a Poisson-type "
-                    "second moment (an interferer may coincide with the user)"
-                )
-            if r >= delta:
-                raise InterferenceDivergenceError(
-                    f"unregularized interference integral diverges for serving distance "
-                    f"{r:g} m >= hard-core distance {delta:g} m"
-                )
-            eps = 0.0
-        else:
-            eps = MIN_DISTANCE_EPS
-
-        def inner(u: float) -> float:
-            def ang(psi: float) -> float:
-                d = np.sqrt(u**2 + r**2 - 2.0 * u * r * np.cos(psi))
-                return max(d, eps) ** (-p_exp)
-
-            val, _ = quad(ang, 0.0, np.pi, limit=200)
-            return 2.0 * u * float(self.second_moment(u)) * val
-
-        u_cut = max(30.0 * r, 30.0 * delta, 100.0)
-        pts = [x for x in (delta, 2.0 * delta, r, 2.0 * r) if 0 < x < u_cut]
-        val, _ = quad(inner, delta, u_cut, points=sorted(set(pts)), limit=400)
-        tail = float(self.second_moment(u_cut * 2.0)) * 2.0 * np.pi * u_cut ** (2.0 - p_exp) / (
-            p_exp - 2.0
-        )
-        return float(val) + tail
+    def _disk_term(self, r: float, p_exp: float, eps: float) -> float:
+        """Integral of second_moment(u) * (max(s, eps)^-p - [s >= r] s^-p) over
+        the disk s < max(r, eps) around the user, in polar coordinates (s, phi)
+        about it.  s-panels break where the circle s touches u = delta or
+        2 delta and double upward, as s^(1-p) falls steeply; phi-panels break
+        at u = delta (where the second moment jumps), 1.5 delta and 2 delta."""
+        delta, s_hi = self._hard_core, max(r, eps)
+        near = (0.0, eps, r, abs(r - delta), r + delta, abs(r - 2.0 * delta))
+        edges = {e for e in near if e < s_hi} | {s_hi}
+        g = min(e for e in edges if e > 0)
+        while g < s_hi:
+            edges.add(g)
+            g *= 2.0
+        s, ws = _panelize(sorted(edges), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
+        # phi = 0 faces the server; u = 0 and u = inf give the ends phi = 0 and pi
+        c = np.array([0.0, delta, 1.5 * delta, 2.0 * delta, np.inf])
+        sin_sq = np.clip((c * c - (r - s[:, None]) ** 2) / (4.0 * r * s[:, None]), 0.0, 1.0)
+        phi, wphi = _panelize(2.0 * np.arcsin(np.sqrt(sin_sq)), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
+        u = np.sqrt((r - s[:, None]) ** 2 + 4.0 * r * s[:, None] * np.sin(0.5 * phi) ** 2)
+        ang = 2.0 * (wphi * np.asarray(self.second_moment(u), float)).sum(axis=1)
+        clip = np.maximum(s, eps) ** -p_exp - np.where(s >= r, s**-p_exp, 0.0)
+        return float((ws * s * clip * ang).sum())
 
     # ---- metrics ---------------------------------------------------------
 

@@ -25,7 +25,8 @@ import scipy
 
 from . import config as cfgmod
 from . import mc
-from .analytics import STRATEGIES, AnalyticEngine, Scenario
+from .analytics import RANDOM_MODES, STRATEGIES, AnalyticEngine, Scenario
+from .channel import CONVENTIONS
 from .errors import ParameterError
 from .geometry import Window
 
@@ -67,7 +68,10 @@ class ResultRow:
 def _thread_count() -> int:
     env = os.environ.get("NETSIM_THREADS")
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError as exc:
+            raise ParameterError(f"NETSIM_THREADS must be an integer, got {env!r}") from exc
         if n < 1:
             raise ParameterError("NETSIM_THREADS must be >= 1")
         return n
@@ -219,20 +223,10 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
 
 
 def _load_config(args) -> cfgmod.RunConfig:
+    """The config file (or the defaults), with every flag given overriding it."""
     cfg = cfgmod.parse_config(args.config) if args.config else cfgmod.RunConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "strategy", None):
-        updates["strategy"] = args.strategy
-    return replace(cfg, **updates)
-
-
-def _scenario_kwargs(args) -> dict:
-    return {
-        "shadowing_convention": args.shadowing_convention,
-        "random_mode": args.random_mode,
-    }
+    keys = ("seed", "strategy", "shadowing_convention", "random_mode")
+    return replace(cfg, **{k: getattr(args, k) for k in keys if getattr(args, k) is not None})
 
 
 def _add_common(p):
@@ -240,12 +234,8 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument(
-        "--shadowing-convention",
-        choices=("paper-moments", "db-std"),
-        default="paper-moments",
-    )
-    p.add_argument("--random-mode", choices=("retain", "remove"), default="retain")
+    p.add_argument("--shadowing-convention", choices=CONVENTIONS, default=None)
+    p.add_argument("--random-mode", choices=RANDOM_MODES, default=None)
     p.add_argument("--gnuplot", action="store_true", help="emit a plot script")
 
 
@@ -280,7 +270,7 @@ def build_parser() -> _Parser:
 def _cmd_point(args, engine_name: str) -> int:
     cfg = _load_config(args)
     t0 = time.time()
-    scenario = cfgmod.to_scenario(cfg, **_scenario_kwargs(args))
+    scenario = cfgmod.to_scenario(cfg)
     row = _compute_row(cfg, scenario, engine_name, "none", 0.0)
     if row.failure:
         print(f"error: {row.failure}", file=sys.stderr)
@@ -304,8 +294,9 @@ def _cmd_sweep(args) -> int:
     for s in strategies:
         if s not in STRATEGIES:
             raise ParameterError(f"unknown strategy {s!r}")
+    if args.param == "antennas_m" and not all(v.is_integer() for v in values):
+        raise ParameterError(f"antennas_m values must be integers: {args.values!r}")
     engines = _ENGINE_NAMES[args.engine]
-    kw = _scenario_kwargs(args)
 
     t0 = time.time()
     tasks, unique = [], {}
@@ -314,7 +305,7 @@ def _cmd_sweep(args) -> int:
             for value in values:
                 updates = {_PARAM_TO_KEY[args.param]: int(value) if args.param == "antennas_m" else value}
                 point = replace(cfg, strategy=strategy, **updates)
-                scenario = cfgmod.to_scenario(point, **kw)
+                scenario = cfgmod.to_scenario(point)
                 # equal keys are one computation (every ppp row of a delta sweep),
                 # merged before the pool so that no two threads compute one row
                 key = (engine, scenario, cfgmod.to_window(point))
@@ -334,7 +325,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args)
-    scenario = cfgmod.to_scenario(cfg, **_scenario_kwargs(args))
+    scenario = cfgmod.to_scenario(cfg)
     window = cfgmod.to_window(cfg)
     engine = AnalyticEngine(scenario)
     n = cfg.realizations
@@ -397,8 +388,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
-    scenario = cfgmod.to_scenario(cfg, **_scenario_kwargs(args))
-    m_list = [int(v) for v in args.antennas.split(",") if v.strip()]
+    scenario = cfgmod.to_scenario(cfg)
+    try:
+        m_list = [int(v) for v in args.antennas.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"bad --antennas: {args.antennas!r}") from exc
     cells = [(-3.0 * cfg.delta_m, 0.0), (3.0 * cfg.delta_m, 0.0), (0.0, 4.0 * cfg.delta_m)]
     rows = mc.finite_m_validation(
         m_list,

@@ -8,13 +8,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .analytics import REGULARIZATIONS, STRATEGIES, Scenario
-from .channel import RadioParams, ShadowingModel, TrafficModel, noise_power_from_dbm
+from .analytics import RANDOM_MODES, REGULARIZATIONS, STRATEGIES, Scenario
+from .channel import CONVENTIONS, RadioParams, ShadowingModel, TrafficModel, noise_power_from_dbm
 from .errors import ParameterError
 from .geometry import Window
 from .hcpp import HcppParams
 
 TRAFFIC_MODES = ("at-mean", "marginalized", "sampled")
+# the string keys and their allowed values
+_CHOICES = {
+    "strategy": STRATEGIES,
+    "regularization": REGULARIZATIONS,
+    "traffic_mode": TRAFFIC_MODES,
+    "shadowing_convention": CONVENTIONS,
+    "random_mode": RANDOM_MODES,
+}
 
 
 @dataclass(frozen=True)
@@ -40,18 +48,13 @@ class RunConfig:
     strategy: str = "matern"
     regularization: str = "exclusion-ball"
     traffic_mode: str = "at-mean"
+    shadowing_convention: str = "paper-moments"
+    random_mode: str = "retain"  # 'retain' keeps stations w.p. zeta1/lambda_b, 'remove' 1 - that
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ParameterError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.regularization not in REGULARIZATIONS:
-            raise ParameterError(
-                f"regularization must be one of {REGULARIZATIONS}, got {self.regularization!r}"
-            )
-        if self.traffic_mode not in TRAFFIC_MODES:
-            raise ParameterError(
-                f"traffic_mode must be one of {TRAFFIC_MODES}, got {self.traffic_mode!r}"
-            )
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ParameterError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
         if self.window_m <= 0 or self.guard_m < 0:
             raise ParameterError("window_m must be > 0 and guard_m >= 0")
         if self.realizations < 2:
@@ -62,7 +65,6 @@ class RunConfig:
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 _INT_KEYS = {"antennas_m", "ues_per_cell_l", "realizations", "seed"}
-_STR_KEYS = {"strategy", "regularization", "traffic_mode"}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -79,7 +81,7 @@ def parse_config_text(text: str) -> RunConfig:
         if key not in _FIELDS:
             unknown.append(key)
             continue
-        if key in _STR_KEYS:
+        if key in _CHOICES:
             values[key] = val
         else:
             try:
@@ -104,11 +106,7 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_scenario(
-    cfg: RunConfig,
-    shadowing_convention: str = "paper-moments",
-    random_mode: str = "retain",
-) -> Scenario:
+def to_scenario(cfg: RunConfig) -> Scenario:
     # ppp switches no station off: no hard core, one scenario at every delta_m
     return Scenario(
         hcpp=HcppParams(cfg.lambda_b, 0.0 if cfg.strategy == "ppp" else cfg.delta_m),
@@ -122,12 +120,12 @@ def to_scenario(
             p_rf_chain=cfg.p_rf_chain_w,
             p_sta=cfg.p_sta_w,
         ),
-        shadowing=ShadowingModel(cfg.sigma_s, shadowing_convention),
+        shadowing=ShadowingModel(cfg.sigma_s, cfg.shadowing_convention),
         traffic=TrafficModel(cfg.theta, cfg.rho_min),
         ues_per_cell=cfg.ues_per_cell_l,
         strategy=cfg.strategy,
         regularization=cfg.regularization,
-        random_mode=random_mode,
+        random_mode=cfg.random_mode,
     )
 
 

@@ -84,14 +84,19 @@ def gauss_hermite(n: int):
 _GH_NODES, _GH_WEIGHTS = gauss_hermite(96)
 _GL_NODES, _GL_WEIGHTS = gauss_legendre(64)
 _GL32_NODES, _GL32_WEIGHTS = gauss_legendre(32)
+# the 32-node rule through x -> (3x - x^3) / 2, whose flat ends absorb
+# square-root behaviour of the integrand at the panel edges
+_SMOOTH_NODES = 0.5 * _GL32_NODES * (3.0 - _GL32_NODES**2)
+_SMOOTH_WEIGHTS = 1.5 * (1.0 - _GL32_NODES**2) * _GL32_WEIGHTS
 
 
 def _panelize(edges, nodes, weights):
-    """Gauss-Legendre nodes/weights on a sequence of contiguous panels."""
+    """A rule on [-1, 1] mapped onto contiguous panels along the last axis of
+    ``edges``, one row of panels (and of nodes) per leading index."""
     edges = np.asarray(edges, float)
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = edges[..., :-1], edges[..., 1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
+    x = mid[..., None] + half[..., None] * nodes
+    w = half[..., None] * weights
+    return x.reshape(*edges.shape[:-1], -1), w.reshape(*edges.shape[:-1], -1)

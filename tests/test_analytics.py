@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from greencell.analytics import AnalyticEngine, Scenario
+from greencell import analytics
+from greencell.analytics import MIN_DISTANCE_EPS, REGULARIZATIONS, AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel, TrafficModel
 from greencell.errors import InterferenceDivergenceError, ParameterError
 from greencell.hcpp import HcppParams, zeta1, zeta2
@@ -122,6 +123,95 @@ def test_min_distance_regularization_finite():
     )
     v = eng.avg_interference(300.0)
     assert np.isfinite(v) and v > 0
+
+
+def _engine(strategy, regularization):
+    return AnalyticEngine(
+        Scenario(PARAMS, strategy=strategy, regularization=regularization, shadowing=ShadowingModel(0.0))
+    )
+
+
+@pytest.mark.parametrize("strategy", ["ppp", "random"])
+def test_min_distance_poisson_closed_form(strategy):
+    # with a flat second moment lam^2 the clipped plane integral is
+    # lam^2 pi eps^(2-p) p / (p-2) at every serving distance; the disk term
+    # (total less exclusion-ball kernel) is exact to 1e-12, and the total errs
+    # by no more than that kernel does (its tail cut leaves ~4e-9 at p = 4)
+    eng, excl = _engine(strategy, "min-distance"), _engine(strategy, "exclusion-ball")
+    lam, eps = eng.active_density, MIN_DISTANCE_EPS
+    r = np.array([0.5, 0.99, 1.0, 1.5, 3.0, 10.0, 50.0, 100.0, 150.0, 300.0, 700.0])
+    for p in (4.0, 8.0):
+        exact = lam**2 * np.pi * eps ** (2.0 - p) * p / (p - 2.0)
+        excl_exact = lam**2 * 2.0 * np.pi * r ** (2.0 - p) / (p - 2.0)
+        got, got_excl = eng._radial_integral(r, p), excl._radial_integral(r, p)
+        assert np.all(np.abs(got - exact) <= 1e-12 * exact + np.abs(got_excl - excl_exact))
+        assert np.all(np.abs((got - got_excl) - (exact - excl_exact)) <= 1e-12 * exact)
+
+
+def polar_disk_oracle(eng, r, p_exp, eps):
+    """Nested adaptive quad of the disk term in user-centred polar coordinates
+    (s, phi), broken at the fixed rule's tangency radii and angles, to relative 1e-12."""
+    from scipy.integrate import quad
+
+    delta, s_hi = eng._hard_core, max(r, eps)
+
+    def ring(s):
+        x = [(c * c - (r - s) ** 2) / (4.0 * r * s) for c in (delta, 1.5 * delta, 2.0 * delta)]
+        pts = sorted({2.0 * np.arcsin(np.sqrt(v)) for v in x if 0.0 < v < 1.0})
+
+        def k(phi):
+            return eng.second_moment(np.sqrt((r - s) ** 2 + 4.0 * r * s * np.sin(phi / 2.0) ** 2))
+
+        val, _ = quad(k, 0.0, np.pi, points=pts or None, limit=200, epsabs=0.0, epsrel=1e-12)
+        clip = max(s, eps) ** -p_exp - (s**-p_exp if s >= r else 0.0)
+        return 2.0 * s * clip * val
+
+    pts = sorted({e for e in (eps, r, abs(r - delta), r + delta, abs(r - 2.0 * delta)) if 0.0 < e < s_hi})
+    val, _ = quad(ring, 0.0, s_hi, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-12)
+    return val
+
+
+@pytest.mark.parametrize(
+    "regularization, p, radii",
+    [
+        ("min-distance", 8.0, (90.0, 110.0, 190.0, 210.0, 390.0, 410.0)),
+        ("min-distance", 4.0, (110.0, 210.0)),
+        ("none", 8.0, (90.0, 110.0, 190.0)),
+        ("none", 4.0, (90.0, 110.0, 190.0)),
+    ],
+)
+def test_matern_disk_term_vs_polar_oracle(regularization, p, radii):
+    # radii straddle delta/2, delta and 2 delta (delta = 200 m)
+    eng, excl = _engine("matern", regularization), _engine("matern", "exclusion-ball")
+    eps = MIN_DISTANCE_EPS if regularization == "min-distance" else 0.0
+    for r in radii:
+        total = float(eng._radial_integral(r, p)[0])
+        term = total - float(excl._radial_integral(r, p)[0])
+        assert abs(term - polar_disk_oracle(eng, r, p, eps)) <= 1e-10 * total
+
+
+def test_none_is_exclusion_ball_within_half_core():
+    # for r <= delta/2 no interferer can be closer to the user than the server
+    none, excl = _engine("matern", "none"), _engine("matern", "exclusion-ball")
+    r = np.array([1.0, 30.0, 99.0, 100.0])
+    for p in (4.0, 8.0):
+        assert np.array_equal(none._radial_integral(r, p), excl._radial_integral(r, p))
+
+
+def test_kernel_runs_without_adaptive_quad(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("adaptive quad reached")
+
+    monkeypatch.setattr(analytics, "quad", no_quad)
+    for regularization in REGULARIZATIONS:
+        eng = _engine("matern", regularization)
+        assert eng.avg_interference(150.0) > 0
+        if regularization == "none":  # the serving distances reach past delta
+            with pytest.raises(InterferenceDivergenceError):
+                eng.avg_tx_power()
+        else:
+            assert eng.avg_tx_power() > 0
+            assert _engine("ppp", regularization).avg_tx_power() > 0
 
 
 def test_rate_zero_shadowing_closed_form(matern_engine):

@@ -268,3 +268,65 @@ def test_row_failure_keeps_sweep_running(tmp_path):
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 3
     assert "nan" in lines[1]
+
+
+def test_analytic_min_distance_exits_zero(tmp_path):
+    # the clipped kernel is smooth in the serving distance, so the SINR grid
+    # stays monotone and the inversion defined
+    cfg = tmp_path / "md.cfg"
+    cfg.write_text("regularization=min-distance\n")
+    for strategy in ("matern", "ppp"):
+        out = tmp_path / strategy
+        assert cli.main(["analytic", "--config", str(cfg), "--strategy", strategy, "--out", str(out)]) == 0
+
+
+def _analytic_run(out, argv):
+    assert cli.main(["analytic", "--out", str(out)] + argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    return (out / "results.csv").read_text(), summary
+
+
+def test_shadowing_convention_is_recorded(tmp_path):
+    csv_default, default = _analytic_run(tmp_path / "a", [])
+    csv_flag, flag = _analytic_run(tmp_path / "b", ["--shadowing-convention", "db-std"])
+    assert csv_default != csv_flag
+    assert default["content_hash"] != flag["content_hash"]
+    assert (default["config"]["shadowing_convention"], flag["config"]["shadowing_convention"]) == (
+        "paper-moments",
+        "db-std",
+    )
+    cfg = tmp_path / "db.cfg"
+    cfg.write_text("shadowing_convention=db-std\n")
+    csv_file, from_file = _analytic_run(tmp_path / "c", ["--config", str(cfg)])
+    assert csv_file == csv_flag
+    assert from_file["content_hash"] == flag["content_hash"]
+
+
+def test_flags_override_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("random_mode=remove\nshadowing_convention=db-std\nseed=3\n")
+    parser = cli.build_parser()
+    loaded = cli._load_config(parser.parse_args(["analytic", "--config", str(cfg)]))
+    assert (loaded.random_mode, loaded.shadowing_convention, loaded.seed) == ("remove", "db-std", 3)
+    argv = ["analytic", "--config", str(cfg), "--random-mode", "retain", "--shadowing-convention", "paper-moments"]
+    loaded = cli._load_config(parser.parse_args(argv))
+    assert (loaded.random_mode, loaded.shadowing_convention, loaded.seed) == ("retain", "paper-moments", 3)
+
+
+def test_bad_thread_count_is_an_input_error(cfg_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NETSIM_THREADS", "abc")
+    argv = ["sweep", "--config", cfg_file, "--param", "delta", "--values", "100", "--strategies", "ppp"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: NETSIM_THREADS must be an integer")
+
+
+def test_bad_antenna_list_is_an_input_error(cfg_file, capsys):
+    assert cli.main(["validate-asymptotics", "--config", cfg_file, "--antennas", "16,x"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad --antennas")
+
+
+def test_antenna_sweep_rejects_fractional_counts(cfg_file, tmp_path, capsys):
+    argv = ["sweep", "--config", cfg_file, "--param", "antennas_m", "--values", "16.2,16.7"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: antennas_m values must be integers")
+    assert not (tmp_path / "out").exists()

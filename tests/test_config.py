@@ -92,3 +92,14 @@ def test_parse_config_file(tmp_path):
     cfg = cfgmod.parse_config(path)
     assert cfg.delta_m == 300.0
     assert cfg.seed == 9
+
+
+def test_shadowing_convention_and_random_mode_keys():
+    assert (cfgmod.RunConfig().shadowing_convention, cfgmod.RunConfig().random_mode) == ("paper-moments", "retain")
+    cfg = cfgmod.parse_config_text("shadowing_convention=db-std\nrandom_mode=remove\nstrategy=random\n")
+    s = cfgmod.to_scenario(cfg)
+    assert (s.shadowing.convention, s.random_mode) == ("db-std", "remove")
+    assert cfgmod.parse_config_text(cfgmod.serialize_config(cfg)) == cfg
+    for bad in ("shadowing_convention=linear", "random_mode=keep"):
+        with pytest.raises(ParameterError, match=bad.split("=")[0]):
+            cfgmod.parse_config_text(bad)
