@@ -26,7 +26,7 @@ from .channel import RadioParams, ShadowingModel, TrafficModel
 from .errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from .hcpp import HcppParams
 from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
-from .quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize
+from .quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize, regula_falsi
 
 STRATEGIES = ("ppp", "matern", "random")
 REGULARIZATIONS = ("exclusion-ball", "min-distance", "none")
@@ -203,10 +203,15 @@ class AnalyticEngine:
         u, wu = _panelize(sorted(set(edges)), _GL32_NODES, _GL32_WEIGHTS)
         k = np.asarray(self.second_moment(u), float)
         total += float((wu * u * k * self._angular(u, r, np.zeros_like(u), p_exp)).sum())
-        # analytic tail beyond u_cut with second-order offset correction
+        # analytic tail beyond u_cut: the circle average of dist^-p is
+        # u^-p 2F1(p/2, p/2; 1; (r/u)^2), summed term by term after the u integral
+        x, c, k, series = (r / u_cut) ** 2, 1.0, 0, 0.0
+        while (term := c / (p_exp - 2.0 + 2.0 * k)) > 1e-17 * series:
+            series += term
+            c *= ((0.5 * p_exp + k) / (k + 1.0)) ** 2 * x
+            k += 1
         far = float(self.second_moment(u_cut * 2.0)) * 2.0 * np.pi
-        tail = far * u_cut ** (2.0 - p_exp) / (p_exp - 2.0)
-        return total + tail * (1.0 + p_exp * (p_exp - 2.0) * r**2 / (4.0 * u_cut**2))
+        return total + far * u_cut ** (2.0 - p_exp) * series
 
     def _disk_term(self, r: float, p_exp: float, eps: float) -> float:
         """Integral of second_moment(u) * (max(s, eps)^-p - [s >= r] s^-p) over
@@ -355,28 +360,16 @@ class AnalyticEngine:
         if gamma <= g_grid[-1]:
             return InversionResult(float(r_grid[-1]), clipped=gamma < g_grid[-1])
         k = int(np.searchsorted(-g_grid, -gamma))
-        # Regula falsi on f = log(SINR / gamma) vs x = log r from the grid bracket
-        # (Anderson-Bjorck's Illinois variant): (b, fb) is the latest exact-kernel
-        # iterate and the root; (a, fa) the last of opposite sign, shrunk when kept.
+        # log(SINR / gamma) against log r from the grid bracket, one kernel call per iterate
         a, b = np.log(r_grid[k - 1 : k + 1])
         fa, fb = np.log(g_grid[k - 1 : k + 1] / gamma)
         f_tol = 1e-13 * (fa - fb) / (b - a)  # |f| that puts x within ~1e-13
-        for _ in range(100):
-            x = b - fb * (b - a) / (fb - fa)
-            r = float(np.exp(x))
-            g = float(self.sinr_of_distance(r))
-            fx = np.log(g / gamma)
-            if abs(fx) <= f_tol or abs(x - b) <= 1e-14:
-                break
-            if (fx > 0) != (fb > 0):
-                a, fa = b, fb
-            else:
-                m = 1.0 - fx / fb
-                fa *= m if m > 0 else 0.5
-            b, fb = x, fx
-        if abs(g - gamma) > 1e-9 * gamma:
+        x, fx = regula_falsi(
+            lambda x: np.log(self.sinr_of_distance(float(np.exp(x))) / gamma), a, b, fa, fb, f_tol
+        )
+        if abs(np.expm1(fx)) > 1e-9:
             raise MonotonicityError("SINR inversion failed to polish")
-        return InversionResult(r, clipped=False)
+        return InversionResult(float(np.exp(x)), clipped=False)
 
     def _sinr_slope(self, r: float) -> float:
         """d(SINR)/dr by central finite difference."""
@@ -384,66 +377,53 @@ class AnalyticEngine:
         lo, hi = self.sinr_of_distance(r - h), self.sinr_of_distance(r + h)
         return (float(hi) - float(lo)) / (2.0 * h)
 
-    def coverage_efficiency(self, rho: float, method: str = "cross-check") -> float:
+    def coverage_efficiency(self, rho: float, method: str = "cdf") -> float:
         """Probability that the mean-interference rate exceeds ``rho``.
 
-        ``method``: 'cdf' integrates the serving-distance PDF up to the
-        threshold distance; 'change-of-variables' integrates the SINR density
-        over the threshold-exceeding range; 'cross-check' (default) computes
-        both and asserts agreement to 1e-6.
-        """
+        ``method``: 'cdf' (default) integrates the serving-distance PDF up to
+        the threshold distance; 'change-of-variables' integrates the SINR
+        density over the threshold-exceeding range with adaptive ``quad``, an
+        independent reference for the first.  Both take the coverage at the
+        SINR grid's end for a threshold beyond it."""
         if rho < 0:
             raise ParameterError("rho must be >= 0")
-        gamma_t = float(2.0**rho - 1.0)
-        r_grid, g_grid = self._sinr_grid
-        if gamma_t <= g_grid[-1]:
-            # below the weakest grid SINR: (numerically) full support covered
-            return min(float(self.nearest_model.cdf(float(r_grid[-1]))), 1.0)
-        if gamma_t >= g_grid[0]:
-            return float(self.nearest_model.cdf(float(r_grid[0])))
-        r_star = self.invert_sinr(gamma_t).r
-
-        def cdf_form() -> float:
+        if method not in ("cdf", "change-of-variables"):
+            raise ParameterError("method must be 'cdf' or 'change-of-variables'")
+        gamma_t = float(2.0**rho - 1.0) if rho < 1024 else np.inf  # 2.0**1024 overflows
+        r_star, clipped = self.invert_sinr(gamma_t)
+        if method == "cdf" or clipped:
             return min(float(self.nearest_model.cdf(r_star)), 1.0)
+        r_grid, g_grid = self._sinr_grid
 
-        def cov_form() -> float:
-            gamma_hi = float(g_grid[0])
-            pdf = self.nearest_model.pdf
+        def integrand(lng: float) -> float:
+            g = np.exp(lng)
+            r = self.invert_sinr(float(g)).r
+            return float(self.nearest_model.pdf(r)) / abs(self._sinr_slope(r)) * g
 
-            def integrand(lng: float) -> float:
-                g = np.exp(lng)
-                r = self.invert_sinr(float(g)).r
-                return float(pdf(r)) / abs(self._sinr_slope(r)) * g
-
-            val, _ = quad(
-                integrand, np.log(gamma_t), np.log(gamma_hi), limit=300, epsabs=1e-9, epsrel=1e-9
-            )
-            return min(float(val) + float(self.nearest_model.cdf(float(r_grid[0]))), 1.0)
-
-        if method == "cdf":
-            return cdf_form()
-        if method == "change-of-variables":
-            return cov_form()
-        a, b = cdf_form(), cov_form()
-        if abs(a - b) > 1e-6:
-            raise MonotonicityError(
-                f"coverage paths disagree: cdf={a:.9f}, change-of-variables={b:.9f}"
-            )
-        return a
+        val, _ = quad(
+            integrand, np.log(gamma_t), np.log(g_grid[0]), limit=300, epsabs=1e-9, epsrel=1e-9
+        )
+        return min(float(val) + float(self.nearest_model.cdf(float(r_grid[0]))), 1.0)
 
     def coverage_efficiency_traffic(self, mode: str = "at-mean") -> float:
-        """Coverage against the traffic model: either at the mean demand or
-        marginalized over the demand distribution."""
+        """Coverage at the mean demand, or marginalized over the demand law:
+        32-node Gauss-Legendre panels in rho doubling from rho_min, broken at
+        the rates of the grid's far end and of delta/2, 3 delta/4 and delta
+        (where the kernel's and nearest law's panels start), up to the rate
+        rho_c at the grid's near end; the Pareto tail above it is closed-form."""
         t = self.scenario.traffic
         if mode == "at-mean":
-            return self.coverage_efficiency(t.mean(), method="cdf")
+            return self.coverage_efficiency(t.mean())
         if mode != "marginalized":
             raise ParameterError("mode must be 'at-mean' or 'marginalized'")
-
-        # substitute v = ccdf(rho): rho = rho_min * v**(-1/theta), v in (0, 1]
-        def integrand(v: float) -> float:
-            rho = t.rho_min * v ** (-1.0 / t.theta)
-            return self.coverage_efficiency(rho, method="cdf")
-
-        val, _ = quad(integrand, 0.0, 1.0, limit=200, epsabs=1e-8, epsrel=1e-7)
-        return min(float(val), 1.0)
+        g_grid = self._sinr_grid[1]
+        rho_c, near = float(np.log2(1.0 + g_grid[0])), self.coverage_efficiency(np.inf)
+        if rho_c <= t.rho_min:
+            return near
+        d = self._hard_core
+        gamma = np.append(self.sinr_of_distance(d * np.array([0.5, 0.75, 1.0])) if d else [], g_grid[-1])
+        kinks = [e for e in np.log2(1.0 + gamma) if t.rho_min < e < rho_c]
+        doubling = t.rho_min * 2.0 ** np.arange(np.log2(rho_c / t.rho_min))
+        rho, w = _panelize(np.unique([*doubling, *kinks, rho_c]), _GL32_NODES, _GL32_WEIGHTS)
+        cov = np.array([self.coverage_efficiency(float(x)) for x in rho])
+        return min(float((w * t.pdf(rho) * cov).sum()) + t.ccdf(rho_c) * near, 1.0)

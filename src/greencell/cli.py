@@ -286,8 +286,8 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad --values: {args.values!r}") from exc
-    if not values:
-        raise ParameterError("--values must be non-empty")
+    if not values or not all(map(math.isfinite, values)):
+        raise ParameterError(f"--values must be non-empty and finite: {args.values!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterError("--values must be strictly increasing")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
@@ -393,6 +393,8 @@ def _cmd_validate(args) -> int:
         m_list = [int(v) for v in args.antennas.split(",") if v.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad --antennas: {args.antennas!r}") from exc
+    if args.trials < 1:
+        raise ParameterError(f"--trials must be >= 1, got {args.trials}")
     cells = [(-3.0 * cfg.delta_m, 0.0), (3.0 * cfg.delta_m, 0.0), (0.0, 4.0 * cfg.delta_m)]
     rows = mc.finite_m_validation(
         m_list,

@@ -6,6 +6,7 @@ exactly (shortest decimal representation, '.' separator).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .analytics import RANDOM_MODES, REGULARIZATIONS, STRATEGIES, Scenario
@@ -88,6 +89,8 @@ def parse_config_text(text: str) -> RunConfig:
                 values[key] = int(val) if key in _INT_KEYS else float(val)
             except ValueError as exc:
                 raise ParameterError(f"line {lineno}: bad value for {key}: {val!r}") from exc
+            if not math.isfinite(values[key]):
+                raise ParameterError(f"line {lineno}: {key} must be finite, got {val!r}")
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return RunConfig(**values)

@@ -8,10 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NormalizationFitError, ParameterError
-from .quadrature import _GL32_NODES, _GL32_WEIGHTS, _panelize
+from .quadrature import _GL32_NODES, _GL32_WEIGHTS, _panelize, regula_falsi
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,9 @@ def _pdf_integral(p: HcppParams, lam_star: float) -> float:
 
 
 def fit_lambda_star(p: HcppParams, tol: float = 1e-9) -> float:
-    """Normalization constant of the nearest-distance PDF, by bracketed root
-    solve of (total mass - 1).  Strictly decreasing in the constant, so the
+    """Normalization constant of the nearest-distance PDF: the root of
+    log(total mass) in log(constant), by bracketed regula falsi.  The mass
+    is strictly decreasing in the constant, close to a power law, so the
     bracket is guaranteed to work whenever it straddles the root."""
     lo, hi = 1e-12, 10.0 * p.lambda_b
     f_lo = _pdf_integral(p, lo) - 1.0
@@ -168,10 +168,15 @@ def fit_lambda_star(p: HcppParams, tol: float = 1e-9) -> float:
             f"root not bracketed in [{lo:g}, {hi:g}]: N(lo)={f_lo:g}, N(hi)={f_hi:g} "
             f"for lambda_b={p.lambda_b:g}, delta={p.delta:g}"
         )
-    root = brentq(lambda lam: _pdf_integral(p, lam) - 1.0, lo, hi, xtol=1e-18, rtol=1e-14)
+
+    def log_mass(x):
+        return np.log(_pdf_integral(p, float(np.exp(x))))
+
+    x, _ = regula_falsi(log_mass, np.log(lo), np.log(hi), np.log1p(f_lo), np.log1p(f_hi), 1e-15)
+    root = float(np.exp(x))
     if abs(_pdf_integral(p, root) - 1.0) > tol:
         raise NormalizationFitError(f"converged root misses tolerance {tol:g}")
-    return float(root)
+    return root
 
 
 def fit_nearest_model(p: HcppParams) -> NearestPdfModel:

@@ -1,5 +1,6 @@
 """Fixed Gauss-Legendre (32, 64 nodes) and Gauss-Hermite (96 nodes) rules,
-built once at import without LAPACK, and their mapping onto panels."""
+built once at import without LAPACK, their mapping onto panels, and the
+bracketed root finder of the analytic path."""
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -100,3 +101,22 @@ def _panelize(edges, nodes, weights):
     x = mid[..., None] + half[..., None] * nodes
     w = half[..., None] * weights
     return x.reshape(*edges.shape[:-1], -1), w.reshape(*edges.shape[:-1], -1)
+
+
+def regula_falsi(f, a, b, fa, fb, f_tol):
+    """Root of ``f`` bracketed by ``a`` and ``b``, by Anderson-Bjorck's Illinois
+    regula falsi: (b, fb) is the latest iterate, (a, fa) the last of opposite
+    sign, shrunk when kept.  Returns the last iterate and its value once
+    |f| <= ``f_tol`` or a step moves x by at most 1e-14."""
+    for _ in range(100):
+        x = b - fb * (b - a) / (fb - fa)
+        fx = f(x)
+        if abs(fx) <= f_tol or abs(x - b) <= 1e-14:
+            break
+        if (fx > 0) != (fb > 0):
+            a, fa = b, fb
+        else:
+            m = 1.0 - fx / fb
+            fa *= m if m > 0 else 0.5
+        b, fb = x, fx
+    return x, fx

@@ -64,13 +64,14 @@ def test_active_density_by_strategy(matern_engine, ppp_engine):
 
 
 def test_constant_kernel_closed_form(ppp_engine):
-    # with a flat second moment the exclusion-ball integral has an exact value
+    # with a flat second moment the exclusion-ball integral has an exact value;
+    # p = 4 (the transmit-power exponent) needs the tail's whole offset series
     lam = PARAMS.lambda_b
-    p = 8.0
-    for r in (30.0, 100.0, 500.0):
-        exact = lam**2 * 2.0 * np.pi * r ** (2.0 - p) / (p - 2.0)
-        got = float(ppp_engine._radial_integral(r, p)[0])
-        assert abs(got / exact - 1.0) < 1e-6
+    for p in (4.0, 8.0):
+        for r in (10.0, 30.0, 100.0, 500.0, 1000.0):
+            exact = lam**2 * 2.0 * np.pi * r ** (2.0 - p) / (p - 2.0)
+            got = float(ppp_engine._radial_integral(r, p)[0])
+            assert abs(got / exact - 1.0) <= 1e-13
 
 
 def test_matern_kernel_vs_brute_oracle(matern_engine):
@@ -319,6 +320,70 @@ def test_coverage_traffic_modes(matern_engine):
     assert 0.0 <= marg <= 1.0
     with pytest.raises(ParameterError):
         matern_engine.coverage_efficiency_traffic("sampled")
+
+
+def test_coverage_beyond_float_range_is_clipped(matern_engine):
+    # 2**rho overflows a double from rho = 1024 on; the threshold is then
+    # above every grid SINR, which clips to the grid's near end
+    want = matern_engine.nearest_model.cdf(AnalyticEngine.R_GRID_LO)
+    assert matern_engine.coverage_efficiency(2000.0, method="cdf") == want
+    assert matern_engine.coverage_efficiency(2000.0, method="change-of-variables") == want
+
+
+def marginalized_oracle(eng):
+    """Adaptive quad (relative 1e-12) of the coverage over v = ccdf(rho) in
+    (0, 1], broken where the coverage has kinks: at the rates of the grid ends
+    and, for a hard core delta, of the distances delta/2, 3 delta/4 and delta."""
+    from scipy.integrate import quad
+
+    t = eng.scenario.traffic
+    _, g_grid = eng._sinr_grid
+    radii = eng._hard_core * np.array([0.5, 0.75, 1.0]) if eng._hard_core else []
+    gamma = [g_grid[0], g_grid[-1], *(eng.sinr_of_distance(r) for r in radii)]
+    pts = sorted(t.ccdf(x) for x in np.log2(1.0 + np.array(gamma)) if x > t.rho_min)
+
+    def cov(v):
+        return eng.coverage_efficiency(t.rho_min * v ** (-1.0 / t.theta), method="cdf")
+
+    val, _ = quad(cov, 0.0, 1.0, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-12)
+    return val
+
+
+@pytest.mark.parametrize(
+    "strategy, delta, convention, theta, rho_min",
+    [
+        ("ppp", 200.0, "paper-moments", 1.5, 1.0),
+        ("random", 200.0, "paper-moments", 1.5, 1.0),
+        ("random", 100.0, "db-std", 2.0, 0.05),
+        ("matern", 200.0, "paper-moments", 1.5, 1.0),
+        ("matern", 100.0, "db-std", 3.0, 0.5),
+        ("matern", 300.0, "paper-moments", 1.01, 0.3),
+    ],
+)
+def test_marginalized_coverage_matches_adaptive_oracle(strategy, delta, convention, theta, rho_min):
+    eng = AnalyticEngine(
+        Scenario(
+            HcppParams(1e-4, delta),
+            strategy=strategy,
+            shadowing=ShadowingModel(6.0, convention),
+            traffic=TrafficModel(theta, rho_min),
+        )
+    )
+    got = eng.coverage_efficiency_traffic("marginalized")
+    assert abs(got / marginalized_oracle(eng) - 1.0) <= 1e-10
+
+
+def test_analytic_metrics_run_without_adaptive_quad(monkeypatch):
+    # adaptive quad is left only to the change-of-variables reference route
+    def no_quad(*args, **kwargs):
+        raise AssertionError("adaptive quad reached")
+
+    monkeypatch.setattr(analytics, "quad", no_quad)
+    for strategy in ("ppp", "matern", "random"):
+        eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
+        assert eng.energy_efficiency() > 0
+        for mode in ("at-mean", "marginalized"):
+            assert 0.0 < eng.coverage_efficiency_traffic(mode) < 1.0
 
 
 def test_shadowing_expectation_matches_quadrature_oracle():

@@ -34,9 +34,9 @@ def cfg_file(tmp_path):
 # at the distance the secant inversion stops at: it matches a 40-digit CDF at
 # that distance to the last digit, so its last bits are set by where the
 # inversion stops within its 1e-13 tolerance, which moves ce by up to ~1e-13,
-# and by lambda_star_fit, which scipy's brentq still solves for.  1e-12 is
-# far below the code's tightest stated error budget (the 1e-6 coverage
-# cross-check), so any change to the model or the numerics still fails.
+# and by where the regula falsi fit of lambda_star_fit stops.  1e-12 is far
+# below the code's tightest stated error budget (the 1e-6 agreement of the
+# two coverage routes), so any change to the model or the numerics still fails.
 GOLDEN_RTOL = 1e-12
 TEXT_FIELDS = ("strategy", "engine", "param", "seed")
 
@@ -330,3 +330,31 @@ def test_antenna_sweep_rejects_fractional_counts(cfg_file, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: antennas_m values must be integers")
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_non_finite_values(cfg_file, tmp_path, capsys):
+    argv = ["sweep", "--config", cfg_file, "--param", "delta", "--values", "100,inf"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: --values must be non-empty and finite")
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_config_value_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST_CFG + "delta_m=inf\n")
+    assert cli.main(["analytic", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 8: delta_m must be finite")
+
+
+def test_validate_rejects_zero_trials(cfg_file, capsys):
+    assert cli.main(["validate-asymptotics", "--config", cfg_file, "--trials", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: --trials must be >= 1")
+
+
+def test_analytic_demand_beyond_float_range_exits_zero(tmp_path, capsys):
+    # the at-mean demand 1200 bits would overflow 2**rho; it is clipped coverage
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST_CFG + "rho_min=400\n")
+    assert cli.main(["analytic", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    row = capsys.readouterr().out.strip().split(",")
+    assert 0.0 < float(row[8]) < 1e-4

@@ -84,6 +84,20 @@ def test_fit_lambda_star_reference():
     assert abs(mass - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "lam, delta", [(1e-4, 200.0), (1e-4, 50.0), (3e-5, 300.0), (1e-3, 200.0), (1e-4, 1000.0), (1e-4, 0.5)]
+)
+def test_fit_lambda_star_normalizes_to_rounding(lam, delta):
+    p = HcppParams(lam, delta)
+    assert abs(hcpp._pdf_integral(p, hcpp.fit_lambda_star(p)) - 1.0) <= 1e-14
+
+
+def test_fit_lambda_star_zero_delta_is_twice_lambda_b():
+    # at delta = 0 the excluded area is the half disk pi r^2 / 2
+    lam = 1e-4
+    assert abs(hcpp.fit_lambda_star(HcppParams(lam, 0.0)) / (2.0 * lam) - 1.0) <= 1e-15
+
+
 def test_nearest_model_cdf_monotone():
     model = hcpp.fit_nearest_model(HcppParams(1e-4, 200.0))
     radii = [50.0, 150.0, 250.0, 400.0, 700.0]
