@@ -278,7 +278,7 @@ class AnalyticEngine:
 
     @cached_property
     def _serving_grid(self):
-        """Quadrature nodes/weights against the serving-distance PDF."""
+        """Serving-distance nodes and weight * pdf; not ``rule``, which moves ee by 1.44e-6."""
         model = self.nearest_model
         r_sup = model.support_radius()
         delta = self._hard_core
@@ -372,7 +372,9 @@ class AnalyticEngine:
         return InversionResult(float(np.exp(x)), clipped=False)
 
     def _sinr_slope(self, r: float) -> float:
-        """d(SINR)/dr by central finite difference."""
+        """d(SINR)/dr by central finite difference with step h = 1e-5 r:
+        within 1e-8 relative away from the kernel's kink radii delta/2,
+        3 delta/4, delta and 2 delta."""
         h = 1e-5 * r
         lo, hi = self.sinr_of_distance(r - h), self.sinr_of_distance(r + h)
         return (float(hi) - float(lo)) / (2.0 * h)
@@ -406,24 +408,23 @@ class AnalyticEngine:
         return min(float(val) + float(self.nearest_model.cdf(float(r_grid[0]))), 1.0)
 
     def coverage_efficiency_traffic(self, mode: str = "at-mean") -> float:
-        """Coverage at the mean demand, or marginalized over the demand law:
-        32-node Gauss-Legendre panels in rho doubling from rho_min, broken at
-        the rates of the grid's far end and of delta/2, 3 delta/4 and delta
-        (where the kernel's and nearest law's panels start), up to the rate
-        rho_c at the grid's near end; the Pareto tail above it is closed-form."""
+        """Coverage at the mean demand, or marginalized over the demand law by
+        Fubini: F(R_GRID_LO) plus f(r) P(demand < rate(r)) integrated by the
+        nearest law's ``rule`` from R_GRID_LO to r_1, rate(r_1) = rho_min, on
+        panels quadrupling from R_GRID_LO, broken at r_1 and where the kernel's
+        own panels start (delta/2, 3 delta/4, delta and 2 delta)."""
         t = self.scenario.traffic
         if mode == "at-mean":
             return self.coverage_efficiency(t.mean())
         if mode != "marginalized":
             raise ParameterError("mode must be 'at-mean' or 'marginalized'")
-        g_grid = self._sinr_grid[1]
-        rho_c, near = float(np.log2(1.0 + g_grid[0])), self.coverage_efficiency(np.inf)
-        if rho_c <= t.rho_min:
+        near = self.coverage_efficiency(np.inf)
+        r_1 = self.invert_sinr(float(2.0**t.rho_min - 1.0) if t.rho_min < 1024 else np.inf).r
+        if r_1 <= self.R_GRID_LO:
             return near
-        d = self._hard_core
-        gamma = np.append(self.sinr_of_distance(d * np.array([0.5, 0.75, 1.0])) if d else [], g_grid[-1])
-        kinks = [e for e in np.log2(1.0 + gamma) if t.rho_min < e < rho_c]
-        doubling = t.rho_min * 2.0 ** np.arange(np.log2(rho_c / t.rho_min))
-        rho, w = _panelize(np.unique([*doubling, *kinks, rho_c]), _GL32_NODES, _GL32_WEIGHTS)
-        cov = np.array([self.coverage_efficiency(float(x)) for x in rho])
-        return min(float((w * t.pdf(rho) * cov).sum()) + t.ccdf(rho_c) * near, 1.0)
+        lo = self.R_GRID_LO
+        quads = lo * 4.0 ** np.arange(np.log(self.R_GRID_HI / lo) / np.log(4.0))
+        breaks = [*quads, *self._hard_core * np.array([0.5, 0.75, 1.0, 2.0])]
+        r, wf = self.nearest_model.rule(np.unique([*(e for e in breaks if lo <= e < r_1), r_1]))
+        rate = np.log2(1.0 + self.sinr_of_distance(r))
+        return min(near + float((wf * (1.0 - t.ccdf(rate))).sum()), 1.0)

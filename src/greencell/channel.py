@@ -94,17 +94,8 @@ class TrafficModel:
     def mean(self) -> float:
         return self.theta * self.rho_min / (self.theta - 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, float)
-        out = np.where(
-            x >= self.rho_min, self.theta * self.rho_min**self.theta / x ** (self.theta + 1.0), 0.0
-        )
-        return out if out.ndim else float(out)
-
-    def ccdf(self, x: float) -> float:
-        if x <= self.rho_min:
-            return 1.0
-        return float((self.rho_min / x) ** self.theta)
+    def ccdf(self, x):
+        return (self.rho_min / np.maximum(x, self.rho_min)) ** self.theta
 
     def sample_with(self, rng: np.random.Generator, size=None):
         # inverse CDF: rho_min * U**(-1/theta)

@@ -324,6 +324,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not 0 < args.r_int < math.inf:
+        raise ParameterError(f"--r-int must be > 0 and finite, got {args.r_int}")
     cfg = _load_config(args)
     scenario = cfgmod.to_scenario(cfg)
     window = cfgmod.to_window(cfg)
@@ -393,6 +395,8 @@ def _cmd_validate(args) -> int:
         m_list = [int(v) for v in args.antennas.split(",") if v.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad --antennas: {args.antennas!r}") from exc
+    if not m_list:
+        raise ParameterError(f"--antennas must be non-empty: {args.antennas!r}")
     if args.trials < 1:
         raise ParameterError(f"--trials must be >= 1, got {args.trials}")
     cells = [(-3.0 * cfg.delta_m, 0.0), (3.0 * cfg.delta_m, 0.0), (0.0, 4.0 * cfg.delta_m)]

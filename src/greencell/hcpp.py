@@ -127,18 +127,26 @@ class NearestPdfModel:
         out = self.prefactor * r * np.exp(-self.lambda_star_fit * np.asarray(area, float))
         return out if out.ndim else float(out)
 
+    def rule(self, edges):
+        """Nodes and weight * pdf of 32-node Gauss-Legendre panels on ascending
+        ``edges`` (with delta/2 if they straddle it): in r up to delta/2, where
+        the PDF is linear, and in t = sqrt(r - delta/2), where it is analytic, beyond."""
+        h, edges = self.params.delta / 2.0, np.asarray(edges, float)
+        r, w = _panelize(edges[edges <= h], _GL32_NODES, _GL32_WEIGHTS)
+        t, v = _panelize(np.sqrt(edges[edges >= h] - h), _GL32_NODES, _GL32_WEIGHTS)
+        r, w = np.concatenate([r, h + t * t]), np.concatenate([w, 2.0 * t * v])
+        return r, w * self.pdf(r)
+
     def cdf(self, r: float) -> float:
-        """Mass on [0, r]: linear PDF up to delta/2, then, as the excluded area
-        opens like sqrt(r - delta/2), analytic in t = sqrt(r - delta/2) on
-        32-node Gauss-Legendre panels of at most two decay lengths
-        (lambda* pi t^4 / 2 = 1); within 1e-14 of a 30-digit oracle."""
+        """Mass on [0, r]: closed form to delta/2, then ``rule`` on t-panels of at most
+        two decay lengths (lambda* pi t^4 / 2 = 1); within 1e-14 of a 30-digit oracle."""
         h = self.params.delta / 2.0
         if r <= h:
             return 0.5 * self.prefactor * r * r
         t_hi = np.sqrt(r - h)
         n = max(4, int(np.ceil(0.5 * t_hi * (self.lambda_star_fit * np.pi / 2.0) ** 0.25)))
-        t, w = _panelize(np.linspace(0.0, t_hi, n + 1), _GL32_NODES, _GL32_WEIGHTS)
-        return float(0.5 * self.prefactor * h * h + (w * 2.0 * t * self.pdf(h + t * t)).sum())
+        _, wf = self.rule(h + np.linspace(0.0, t_hi, n + 1) ** 2)
+        return float(0.5 * self.prefactor * h * h + wf.sum())
 
     def support_radius(self, tail: float = 1e-9) -> float:
         """Radius beyond which the remaining PDF mass is at most ``tail``."""
@@ -183,23 +191,25 @@ def fit_nearest_model(p: HcppParams) -> NearestPdfModel:
     return NearestPdfModel(p, fit_lambda_star(p))
 
 
-def ppp_nearest_pdf(r, intensity: float):
-    """Rayleigh contact PDF of a Poisson process: 2 pi lambda r exp(-lambda pi r^2)."""
-    if not intensity > 0:
-        raise ParameterError(f"intensity must be > 0, got {intensity}")
-    r = np.asarray(r, float)
-    out = 2.0 * np.pi * intensity * r * np.exp(-intensity * np.pi * r**2)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class RayleighNearestModel:
-    """Nearest-distance model for a stationary Poisson set of given intensity."""
+    """Rayleigh contact law 2 pi lambda r exp(-lambda pi r^2) of a Poisson set."""
 
     intensity: float
 
+    def __post_init__(self) -> None:
+        if not self.intensity > 0:
+            raise ParameterError(f"intensity must be > 0, got {self.intensity}")
+
     def pdf(self, r):
-        return ppp_nearest_pdf(r, self.intensity)
+        r = np.asarray(r, float)
+        out = 2.0 * np.pi * self.intensity * r * np.exp(-self.intensity * np.pi * r**2)
+        return out if out.ndim else float(out)
+
+    def rule(self, edges):
+        """Nodes and weight * pdf of 32-node Gauss-Legendre panels between ``edges``."""
+        r, w = _panelize(edges, _GL32_NODES, _GL32_WEIGHTS)
+        return r, w * self.pdf(r)
 
     def cdf(self, r: float) -> float:
         return float(-np.expm1(-self.intensity * np.pi * r**2))

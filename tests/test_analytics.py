@@ -386,6 +386,52 @@ def test_analytic_metrics_run_without_adaptive_quad(monkeypatch):
             assert 0.0 < eng.coverage_efficiency_traffic(mode) < 1.0
 
 
+def test_marginalized_coverage_inverts_sinr_once(monkeypatch):
+    # Fubini: one inversion for the clipped near end, one at rho_min, and a
+    # single vector kernel call on the nearest law's rule
+    eng = AnalyticEngine(Scenario(PARAMS))
+    eng._sinr_grid, eng.nearest_model  # tables outside the count
+    inversions, points = [], []
+    invert, kernel = AnalyticEngine.invert_sinr, AnalyticEngine.interference_base
+
+    def counted_invert(self, gamma):
+        inversions.append(gamma)
+        return invert(self, gamma)
+
+    def counted_kernel(self, r):
+        points.append(np.size(r))
+        return kernel(self, r)
+
+    monkeypatch.setattr(AnalyticEngine, "invert_sinr", counted_invert)
+    monkeypatch.setattr(AnalyticEngine, "interference_base", counted_kernel)
+    assert 0.0 < eng.coverage_efficiency_traffic("marginalized") < 1.0
+    assert len(inversions) <= 2
+    assert sum(points) <= 300
+
+
+@pytest.mark.parametrize("strategy", ["matern", "ppp"])
+def test_marginalized_coverage_above_grid_rate_is_near_end_cdf(strategy):
+    # every demand is above the rate at R_GRID_LO: all see the clipped coverage
+    eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy, traffic=TrafficModel(1.5, 2000.0)))
+    want = eng.nearest_model.cdf(AnalyticEngine.R_GRID_LO)
+    assert eng.coverage_efficiency_traffic("marginalized") == want
+
+
+@pytest.mark.parametrize("strategy", ["matern", "ppp"])
+def test_sinr_slope_within_budget(strategy):
+    # the 1e-5 r central difference against a Richardson-extrapolated one
+    # (steps 1e-3 r, /2, /4), at radii away from delta/2, 3 delta/4, delta, 2 delta
+    eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
+
+    def central(r, h):
+        return (eng.sinr_of_distance(r + h) - eng.sinr_of_distance(r - h)) / (2.0 * h)
+
+    for r in (3.0, 30.0, 70.0, 125.0, 175.0, 300.0, 600.0, 1500.0, 4000.0):
+        d1, d2, d4 = (central(r, 1e-3 * r / k) for k in (1, 2, 4))
+        r1, r2 = (4.0 * d2 - d1) / 3.0, (4.0 * d4 - d2) / 3.0
+        assert abs(eng._sinr_slope(r) / ((16.0 * r2 - r1) / 15.0) - 1.0) <= 1e-8
+
+
 def test_shadowing_expectation_matches_quadrature_oracle():
     # the Gauss-Hermite shadowing average must agree with a direct adaptive
     # integral of log2(1 + omega^2 c) against the lognormal density

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from greencell.channel import (
     RadioParams,
@@ -83,13 +82,17 @@ def test_traffic_mean_and_validation():
         TrafficModel(rho_min=0.0)
 
 
-def test_traffic_pdf_ccdf_consistent():
+def test_traffic_ccdf_closed_form_and_samples():
     t = TrafficModel(theta=2.5, rho_min=2.0)
-    x = 5.0
-    mass, _ = quad(t.pdf, t.rho_min, x, limit=100)
-    assert mass == pytest.approx(1.0 - t.ccdf(x), rel=1e-9)
     assert t.ccdf(t.rho_min) == 1.0
-    assert t.pdf(1.0) == 0.0
+    x = np.array([0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 12.0])
+    want = np.where(x > t.rho_min, (t.rho_min / x) ** t.theta, 1.0)
+    assert np.allclose(t.ccdf(x), want, rtol=1e-15, atol=0.0)
+    # 1 - ccdf is the CDF of the sampler, within 4 binomial standard errors
+    draws = t.sample_with(np.random.default_rng(5), size=100_000)
+    p = 1.0 - t.ccdf(x)
+    emp = (draws[:, None] <= x).mean(axis=0)
+    assert np.all(np.abs(emp - p) <= 4.0 * np.sqrt(p * (1.0 - p) / draws.size))
 
 
 def test_traffic_sample_moments():

@@ -358,3 +358,16 @@ def test_analytic_demand_beyond_float_range_exits_zero(tmp_path, capsys):
     assert cli.main(["analytic", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     row = capsys.readouterr().out.strip().split(",")
     assert 0.0 < float(row[8]) < 1e-4
+
+
+@pytest.mark.parametrize("r_int", ["inf", "nan"])
+def test_compare_rejects_non_finite_probe_distance(cfg_file, tmp_path, capsys, r_int):
+    argv = ["compare", "--config", cfg_file, "--out", str(tmp_path / "out"), "--r-int", r_int]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --r-int must be > 0 and finite")
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_rejects_empty_antenna_list(cfg_file, capsys):
+    assert cli.main(["validate-asymptotics", "--config", cfg_file, "--antennas", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: --antennas must be non-empty")

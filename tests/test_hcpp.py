@@ -175,17 +175,17 @@ def test_nearest_model_small_delta_is_rayleigh():
     lam = 1e-4
     model = hcpp.fit_nearest_model(HcppParams(lam, 0.5))
     r = np.linspace(5.0, 100.0, 20)  # bulk of the distribution
-    ref = hcpp.ppp_nearest_pdf(r, lam)
+    ref = hcpp.RayleighNearestModel(lam).pdf(r)
     assert np.all(np.abs(model.pdf(r) / ref - 1.0) < 5e-3)
     assert model.lambda_star_fit == pytest.approx(2.0 * lam, rel=5e-3)
 
 
 def test_ppp_nearest_pdf_normalized():
     lam = 1e-4
-    mass, _ = quad(lambda r: hcpp.ppp_nearest_pdf(r, lam), 0.0, 2000.0, limit=200)
+    mass, _ = quad(hcpp.RayleighNearestModel(lam).pdf, 0.0, 2000.0, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ParameterError):
-        hcpp.ppp_nearest_pdf(10.0, 0.0)
+        hcpp.RayleighNearestModel(0.0)
 
 
 def test_rayleigh_model_consistency():
