@@ -82,7 +82,7 @@ class AnalyticEngine:
     #: inversion grid for SINR(r); log-spaced
     R_GRID_LO = 0.5
     R_GRID_HI = 6000.0
-    R_GRID_N = 400
+    R_GRID_N = 40
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -154,7 +154,10 @@ class AnalyticEngine:
                 f"unregularized interference integral diverges for serving distance "
                 f"{r[r >= delta][0]:g} m >= hard-core distance {delta:g} m"
             )
-        out = np.array([self._exclusion_single(float(ri), p_exp) for ri in r])
+        if delta > 0:
+            out = np.array([self._exclusion_single(float(ri), p_exp) for ri in r])
+        else:  # flat second moment: lambda_a^2 times the integral of dist^-p over dist >= r
+            out = self.active_density**2 * 2.0 * np.pi * r ** (2.0 - p_exp) / (p_exp - 2.0)
         if mode == "exclusion-ball":
             return out
         eps = MIN_DISTANCE_EPS if mode == "min-distance" else 0.0
@@ -168,19 +171,16 @@ class AnalyticEngine:
         return 2.0 * (wpsi * dist_sq ** (-p_exp / 2.0)).sum(axis=1)
 
     def _exclusion_single(self, r: float, p_exp: float) -> float:
-        """Plane integral with the exclusion ball, serving-station centered.
-
-        The allowed angular sector closes with a square-root law at u = 2r,
-        so that stretch is integrated in the substituted variable
-        u = 2r cos(beta), which is smooth; beyond 2r the full circle is
-        allowed and plain geometric panels suffice.
-        """
+        """Plane integral with the exclusion ball for a hard core delta > 0,
+        serving-station centered.  The allowed angular sector closes with a
+        square-root law at u = 2r, so that stretch is integrated in the
+        substituted variable u = 2r cos(beta), which is smooth; past
+        c = max(2 delta, 2r) the integral is ``_flat_tail``, in closed form."""
         delta = self._hard_core
-        u_cut = max(30.0 * r, 30.0 * delta, 100.0)
         total = 0.0
         if delta < 2.0 * r:
             # region A: exclusion active, u in (delta, 2r)
-            b_hi = np.arccos(delta / (2.0 * r)) if delta > 0 else np.pi / 2.0
+            b_hi = np.arccos(delta / (2.0 * r))
             edges = {0.0, b_hi}
             for u_split in (r, delta, 1.5 * delta, 2.0 * delta):
                 if 0.0 < u_split < 2.0 * r:
@@ -188,30 +188,29 @@ class AnalyticEngine:
             beta, wb = _panelize(sorted(e for e in edges if e <= b_hi), _GL32_NODES, _GL32_WEIGHTS)
             u = 2.0 * r * np.cos(beta)
             jac = 2.0 * r * np.sin(beta)
-            k = np.asarray(self.second_moment(u), float)
+            k = self.second_moment(u)
             total += float((wb * u * k * jac * self._angular(u, r, beta, p_exp)).sum())
-        # region B: full circle, u in (max(delta, 2r), u_cut)
-        lo = max(delta, 2.0 * r)
-        edges = [lo]
-        for u_split in (1.5 * delta, 2.0 * delta):
-            if lo < u_split < u_cut:
-                edges.append(u_split)
-        g = edges[-1]
-        while g < u_cut:
-            g = min(g * 1.7, u_cut)
-            edges.append(g)
-        u, wu = _panelize(sorted(set(edges)), _GL32_NODES, _GL32_WEIGHTS)
-        k = np.asarray(self.second_moment(u), float)
-        total += float((wu * u * k * self._angular(u, r, np.zeros_like(u), p_exp)).sum())
-        # analytic tail beyond u_cut: the circle average of dist^-p is
-        # u^-p 2F1(p/2, p/2; 1; (r/u)^2), summed term by term after the u integral
-        x, c, k, series = (r / u_cut) ** 2, 1.0, 0, 0.0
-        while (term := c / (p_exp - 2.0 + 2.0 * k)) > 1e-17 * series:
+        # region B: full circle, u in (max(delta, 2r), c); empty for r >= delta
+        lo, c = max(delta, 2.0 * r), max(2.0 * delta, 2.0 * r)
+        if lo < c:
+            edges = [lo, 1.5 * delta, c] if lo < 1.5 * delta else [lo, c]
+            u, wu = _panelize(edges, _GL32_NODES, _GL32_WEIGHTS)
+            k = self.second_moment(u)
+            total += float((wu * u * k * self._angular(u, r, np.zeros_like(u), p_exp)).sum())
+        return total + self._flat_tail(r, c, p_exp)
+
+    def _flat_tail(self, r: float, c: float, p_exp: float) -> float:
+        """The plane integral over u > c for c >= max(2 delta, 2r): there the
+        whole circle is allowed and the second moment is flat (union_area is
+        exactly 2 pi delta^2).  The circle average of dist^-p is
+        u^-p 2F1(p/2, p/2; 1; (r/u)^2), summed term by term after the u
+        integral; with x = (r/c)^2 <= 1/4 the series converges geometrically."""
+        x, a, k, series = (r / c) ** 2, 1.0, 0, 0.0
+        while (term := a / (p_exp - 2.0 + 2.0 * k)) > 1e-17 * series:
             series += term
-            c *= ((0.5 * p_exp + k) / (k + 1.0)) ** 2 * x
+            a *= ((0.5 * p_exp + k) / (k + 1.0)) ** 2 * x
             k += 1
-        far = float(self.second_moment(u_cut * 2.0)) * 2.0 * np.pi
-        return total + far * u_cut ** (2.0 - p_exp) * series
+        return float(self.second_moment(c)) * 2.0 * np.pi * c ** (2.0 - p_exp) * series
 
     def _disk_term(self, r: float, p_exp: float, eps: float) -> float:
         """Integral of second_moment(u) * (max(s, eps)^-p - [s >= r] s^-p) over

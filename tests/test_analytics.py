@@ -4,7 +4,7 @@ import pytest
 from greencell import analytics
 from greencell.analytics import MIN_DISTANCE_EPS, REGULARIZATIONS, AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel, TrafficModel
-from greencell.errors import InterferenceDivergenceError, ParameterError
+from greencell.errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from greencell.hcpp import HcppParams, zeta1, zeta2
 from greencell.quadrature import gauss_hermite, gauss_legendre
 
@@ -64,8 +64,8 @@ def test_active_density_by_strategy(matern_engine, ppp_engine):
 
 
 def test_constant_kernel_closed_form(ppp_engine):
-    # with a flat second moment the exclusion-ball integral has an exact value;
-    # p = 4 (the transmit-power exponent) needs the tail's whole offset series
+    # with a flat second moment the exclusion-ball integral has an exact value,
+    # which the kernel returns; test_flat_kernel_vs_brute_oracle checks it
     lam = PARAMS.lambda_b
     for p in (4.0, 8.0):
         for r in (10.0, 30.0, 100.0, 500.0, 1000.0):
@@ -80,6 +80,76 @@ def test_matern_kernel_vs_brute_oracle(matern_engine):
         ref = brute_exclusion_integral(r, p, lambda u: zeta2(u, PARAMS))
         got = float(matern_engine._radial_integral(r, p)[0])
         assert abs(got / ref - 1.0) < 2e-3
+
+
+@pytest.mark.parametrize("strategy", ["ppp", "random"])
+def test_flat_kernel_vs_brute_oracle(strategy):
+    eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy, shadowing=ShadowingModel(0.0)))
+    lam_sq = eng.active_density**2
+    for p in (4.0, 8.0):
+        for r in (50.0, 150.0, 400.0):
+            ref = brute_exclusion_integral(r, p, lambda u: np.full_like(u, lam_sq))
+            got = float(eng._radial_integral(r, p)[0])
+            assert abs(got / ref - 1.0) < 2e-3
+
+
+def flat_stretch(eng, r, c, p_exp, n_psi=128):
+    """Full-circle integral over u in (c, 40c) of the flat second moment, on
+    eight geometric 32-node Gauss-Legendre panels in u, with the circle average
+    by the trapezoid rule in angle (exponentially accurate for u >= 2r)."""
+    x, w = gauss_legendre(32)
+    edges = np.geomspace(c, 40.0 * c, 9)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    u = (0.5 * (hi + lo) + 0.5 * (hi - lo) * x).ravel()
+    wu = (0.5 * (hi - lo) * w).ravel()
+    psi = 2.0 * np.pi * np.arange(n_psi) / n_psi
+    dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * np.cos(psi)
+    circle = 2.0 * np.pi * (dist_sq ** (-p_exp / 2.0)).mean(axis=1)
+    return float(eng.second_moment(c)) * float((wu * u * circle).sum())
+
+
+@pytest.mark.parametrize("delta", [100.0, 200.0])
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_matern_far_field_vs_panel_oracle(delta, p):
+    # the series from c = max(2 delta, 2r), where x = (r/c)^2 <= 1/4, against the
+    # same integral with (c, 40c) on panels and only u > 40c by the series;
+    # radii straddle delta/2, delta and 2 delta
+    eng = AnalyticEngine(Scenario(HcppParams(1e-4, delta), shadowing=ShadowingModel(0.0)))
+    for r in delta * np.array([0.01, 0.4, 0.5, 0.6, 0.9, 1.0, 1.1, 1.9, 2.0, 2.1, 30.0]):
+        c = max(2.0 * delta, 2.0 * r)
+        got = float(eng._radial_integral(r, p)[0])
+        far = flat_stretch(eng, r, c, p) + eng._flat_tail(r, 40.0 * c, p)
+        assert abs((got - eng._flat_tail(r, c, p) + far) / got - 1.0) <= 1e-13
+
+
+def test_kernel_quadrature_cost(monkeypatch):
+    # matern: at most four 32-node panels and one flat value per radius;
+    # ppp and random: the closed form, with no panel and no second-moment call
+    points = []
+    moment = AnalyticEngine.second_moment
+
+    def counted(self, u):
+        points.append(np.size(u))
+        return moment(self, u)
+
+    monkeypatch.setattr(AnalyticEngine, "second_moment", counted)
+    eng = _engine("matern", "exclusion-ball")
+    for r in (0.5, 10.0, 99.0, 101.0, 149.0, 151.0, 199.0, 201.0, 399.0, 401.0, 6000.0):
+        points.clear()
+        eng._radial_integral(r, 8.0)
+        assert 1 + 32 <= sum(points) <= 1 + 4 * 32
+
+    def no_panels(*args):
+        raise AssertionError("_panelize reached")
+
+    monkeypatch.setattr(analytics, "_panelize", no_panels)
+    points.clear()
+    r = np.geomspace(0.5, 6000.0, 40)
+    for strategy in ("ppp", "random"):
+        eng = _engine(strategy, "exclusion-ball")
+        assert np.all(eng.interference_base(r) > 0)
+        assert np.all(eng._radial_integral(r, 4.0) > 0)
+    assert not points
 
 
 def test_interference_antenna_scaling(matern_engine):
@@ -137,7 +207,7 @@ def test_min_distance_poisson_closed_form(strategy):
     # with a flat second moment lam^2 the clipped plane integral is
     # lam^2 pi eps^(2-p) p / (p-2) at every serving distance; the disk term
     # (total less exclusion-ball kernel) is exact to 1e-12, and the total errs
-    # by no more than that kernel does (its tail cut leaves ~4e-9 at p = 4)
+    # by no more than that kernel does
     eng, excl = _engine(strategy, "min-distance"), _engine(strategy, "exclusion-ball")
     lam, eps = eng.active_density, MIN_DISTANCE_EPS
     r = np.array([0.5, 0.99, 1.0, 1.5, 3.0, 10.0, 50.0, 100.0, 150.0, 300.0, 700.0])
@@ -253,6 +323,15 @@ def test_energy_efficiency_decomposes(matern_engine):
     assert matern_engine.avg_tx_power() > 0
 
 
+@pytest.mark.parametrize("strategy, watts", [("ppp", 7554.709197430469), ("random", 601.1825596597128)])
+def test_tx_power_pinned(strategy, watts):
+    # at alpha = 4 the serving-distance average of the kernel diverges like
+    # log r at r -> 0, so the value rests on an implicit cutoff, the first
+    # serving node (README, Numerical notes); the kernel must not move it
+    eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
+    assert abs(eng.avg_tx_power() / watts - 1.0) <= 1e-12
+
+
 def test_tx_power_divergence_at_low_alpha():
     eng = AnalyticEngine(
         Scenario(PARAMS, radio=RadioParams(alpha=2.0), shadowing=ShadowingModel(0.0))
@@ -286,6 +365,19 @@ def test_sinr_inversion_round_trip(matern_engine, monkeypatch):
     assert matern_engine.invert_sinr(g_grid[0]) == (r_grid[0], False)
     assert matern_engine.invert_sinr(g_grid[-1]) == (r_grid[-1], False)
     assert not calls
+
+
+def test_non_monotone_sinr_raises_on_grid(monkeypatch):
+    # the 40-point grid still sees an SINR that turns upward between its ends
+    def wavy(self, r):
+        r = np.asarray(r, float)
+        return 1e30 * r ** (-2.0 * self.scenario.radio.alpha) * (2.0 + np.sin(np.log(r)))
+
+    monkeypatch.setattr(AnalyticEngine, "interference_base", wavy)
+    eng = AnalyticEngine(Scenario(PARAMS))
+    assert eng.R_GRID_N == 40
+    with pytest.raises(MonotonicityError):
+        eng.coverage_efficiency(1.0)
 
 
 def test_coverage_paths_agree(matern_engine):
