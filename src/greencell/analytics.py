@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import hcpp
 from .channel import RadioParams, ShadowingModel, TrafficModel
@@ -83,6 +82,8 @@ class AnalyticEngine:
     R_GRID_LO = 0.5
     R_GRID_HI = 6000.0
     R_GRID_N = 40
+    #: kinks of SINR(r), where the kernel's panels start, in units of the hard core
+    KINKS = (0.5, 0.75, 1.0, 2.0)
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -370,22 +371,23 @@ class AnalyticEngine:
             raise MonotonicityError("SINR inversion failed to polish")
         return InversionResult(float(np.exp(x)), clipped=False)
 
-    def _sinr_slope(self, r: float) -> float:
-        """d(SINR)/dr by central finite difference with step h = 1e-5 r:
-        within 1e-8 relative away from the kernel's kink radii delta/2,
-        3 delta/4, delta and 2 delta."""
-        h = 1e-5 * r
-        lo, hi = self.sinr_of_distance(r - h), self.sinr_of_distance(r + h)
-        return (float(hi) - float(lo)) / (2.0 * h)
+    def _sinr_slope(self, r):
+        """d(SINR)/dr at the radii ``r`` in one kernel call, by central finite
+        difference with step h = 1e-5 r: within 1e-8 relative away from the
+        radii ``KINKS`` * delta."""
+        h = 1e-5 * np.asarray(r, float)
+        lo, hi = self.sinr_of_distance(np.ravel([r - h, r + h])).reshape(2, *h.shape)
+        return (hi - lo) / (2.0 * h)
 
     def coverage_efficiency(self, rho: float, method: str = "cdf") -> float:
         """Probability that the mean-interference rate exceeds ``rho``.
 
         ``method``: 'cdf' (default) integrates the serving-distance PDF up to
-        the threshold distance; 'change-of-variables' integrates the SINR
-        density over the threshold-exceeding range with adaptive ``quad``, an
-        independent reference for the first.  Both take the coverage at the
-        SINR grid's end for a threshold beyond it."""
+        the threshold distance; 'change-of-variables', an independent reference
+        for the first, integrates gamma f(r(gamma)) / |dgamma/dr| over log gamma
+        with r(gamma) from ``invert_sinr``, on one smooth 32-node panel between
+        each pair of the threshold, the SINRs at ``KINKS`` * delta and the
+        grid's near end.  Both return the grid-end coverage for a threshold beyond it."""
         if rho < 0:
             raise ParameterError("rho must be >= 0")
         if method not in ("cdf", "change-of-variables"):
@@ -394,24 +396,18 @@ class AnalyticEngine:
         r_star, clipped = self.invert_sinr(gamma_t)
         if method == "cdf" or clipped:
             return min(float(self.nearest_model.cdf(r_star)), 1.0)
-        r_grid, g_grid = self._sinr_grid
-
-        def integrand(lng: float) -> float:
-            g = np.exp(lng)
-            r = self.invert_sinr(float(g)).r
-            return float(self.nearest_model.pdf(r)) / abs(self._sinr_slope(r)) * g
-
-        val, _ = quad(
-            integrand, np.log(gamma_t), np.log(g_grid[0]), limit=300, epsabs=1e-9, epsrel=1e-9
-        )
-        return min(float(val) + float(self.nearest_model.cdf(float(r_grid[0]))), 1.0)
+        kinks = [k for k in self._hard_core * np.array(self.KINKS) if self.R_GRID_LO < k < r_star]
+        edges = np.log([gamma_t, *self.sinr_of_distance(np.array(kinks)), self._sinr_grid[1][0]])
+        x, w = _panelize(np.unique(edges), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
+        r = np.array([self.invert_sinr(g).r for g in np.exp(x).tolist()])
+        val = (w * np.exp(x) * self.nearest_model.pdf(r) / np.abs(self._sinr_slope(r))).sum()
+        return min(float(val) + self.nearest_model.cdf(self.R_GRID_LO), 1.0)
 
     def coverage_efficiency_traffic(self, mode: str = "at-mean") -> float:
         """Coverage at the mean demand, or marginalized over the demand law by
         Fubini: F(R_GRID_LO) plus f(r) P(demand < rate(r)) integrated by the
         nearest law's ``rule`` from R_GRID_LO to r_1, rate(r_1) = rho_min, on
-        panels quadrupling from R_GRID_LO, broken at r_1 and where the kernel's
-        own panels start (delta/2, 3 delta/4, delta and 2 delta)."""
+        panels quadrupling from R_GRID_LO, broken at r_1 and ``KINKS`` * delta."""
         t = self.scenario.traffic
         if mode == "at-mean":
             return self.coverage_efficiency(t.mean())
@@ -423,7 +419,7 @@ class AnalyticEngine:
             return near
         lo = self.R_GRID_LO
         quads = lo * 4.0 ** np.arange(np.log(self.R_GRID_HI / lo) / np.log(4.0))
-        breaks = [*quads, *self._hard_core * np.array([0.5, 0.75, 1.0, 2.0])]
+        breaks = [*quads, *self._hard_core * np.array(self.KINKS)]
         r, wf = self.nearest_model.rule(np.unique([*(e for e in breaks if lo <= e < r_1), r_1]))
         rate = np.log2(1.0 + self.sinr_of_distance(r))
         return min(near + float((wf * (1.0 - t.ccdf(rate))).sum()), 1.0)

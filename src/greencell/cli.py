@@ -27,6 +27,7 @@ from . import config as cfgmod
 from . import mc
 from .analytics import RANDOM_MODES, STRATEGIES, AnalyticEngine, Scenario
 from .channel import CONVENTIONS
+from .errors import InterferenceDivergenceError, MonotonicityError, NormalizationFitError
 from .errors import ParameterError
 from .geometry import Window
 
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
         return _cmd_validate(args)
     except (ParameterError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (InterferenceDivergenceError, MonotonicityError, NormalizationFitError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

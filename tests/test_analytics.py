@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from greencell.hcpp import HcppParams, zeta1, zeta2
 from greencell.quadrature import gauss_hermite, gauss_legendre
 
 PARAMS = HcppParams(1e-4, 200.0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -269,11 +275,9 @@ def test_none_is_exclusion_ball_within_half_core():
         assert np.array_equal(none._radial_integral(r, p), excl._radial_integral(r, p))
 
 
-def test_kernel_runs_without_adaptive_quad(monkeypatch):
-    def no_quad(*args, **kwargs):
-        raise AssertionError("adaptive quad reached")
-
-    monkeypatch.setattr(analytics, "quad", no_quad)
+def test_kernel_runs_without_adaptive_quad():
+    # every regularization runs on fixed rules; that the package loads no
+    # adaptive integrator is test_analytic_metrics_run_without_adaptive_quad
     for regularization in REGULARIZATIONS:
         eng = _engine("matern", regularization)
         assert eng.avg_interference(150.0) > 0
@@ -465,17 +469,41 @@ def test_marginalized_coverage_matches_adaptive_oracle(strategy, delta, conventi
     assert abs(got / marginalized_oracle(eng) - 1.0) <= 1e-10
 
 
-def test_analytic_metrics_run_without_adaptive_quad(monkeypatch):
-    # adaptive quad is left only to the change-of-variables reference route
-    def no_quad(*args, **kwargs):
-        raise AssertionError("adaptive quad reached")
+def test_analytic_metrics_run_without_adaptive_quad(tmp_path):
+    # no analytic run, at mean or marginalized demand, loads scipy.integrate
+    script = (
+        "import sys\n"
+        "from greencell import cli\n"
+        "cfg, a, b = sys.argv[1:]\n"
+        "assert cli.main(['analytic', '--out', a]) == 0\n"
+        "assert cli.main(['analytic', '--config', cfg, '--out', b]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n"
+    )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("traffic_mode=marginalized\n")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", script, str(cfg), str(tmp_path / "a"), str(tmp_path / "b")]
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
-    monkeypatch.setattr(analytics, "quad", no_quad)
-    for strategy in ("ppp", "matern", "random"):
-        eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
-        assert eng.energy_efficiency() > 0
-        for mode in ("at-mean", "marginalized"):
-            assert 0.0 < eng.coverage_efficiency_traffic(mode) < 1.0
+
+@pytest.mark.parametrize("strategy, bound", [("matern", 1250), ("ppp", 200)])
+def test_change_of_variables_cost(monkeypatch, strategy, bound):
+    # one call at the default mean demand took 621 (matern) and 97 (ppp)
+    # kernel points: one inversion per node plus one vector slope call
+    eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
+    eng._sinr_grid, eng.nearest_model  # tables outside the count
+    points, kernel = [], AnalyticEngine.interference_base
+
+    def counted_kernel(self, r):
+        points.append(np.size(r))
+        return kernel(self, r)
+
+    monkeypatch.setattr(AnalyticEngine, "interference_base", counted_kernel)
+    rho = eng.scenario.traffic.mean()
+    assert 0.0 < eng.coverage_efficiency(rho, method="change-of-variables") < 1.0
+    assert sum(points) <= bound
 
 
 def test_marginalized_coverage_inverts_sinr_once(monkeypatch):

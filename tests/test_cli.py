@@ -368,6 +368,16 @@ def test_compare_rejects_non_finite_probe_distance(cfg_file, tmp_path, capsys, r
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_reports_analytic_divergence_as_error(tmp_path, capsys):
+    # the transmit-power integral diverges at alpha = 2: an error line, not a traceback
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST_CFG.replace("realizations=40", "realizations=4") + "alpha=2\n")
+    assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InterferenceDivergenceError: transmit-power integral diverges")
+    assert "Traceback" not in err
+
+
 def test_validate_rejects_empty_antenna_list(cfg_file, capsys):
     assert cli.main(["validate-asymptotics", "--config", cfg_file, "--antennas", ""]) == 1
     assert capsys.readouterr().err.startswith("error: --antennas must be non-empty")
