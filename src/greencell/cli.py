@@ -60,6 +60,7 @@ class ResultRow:
     ci_ce: float
     seed: int
     failure: str | None = None
+    diagnostics: dict | None = None  # JSON only; the CSV header is frozen
 
     def to_csv(self) -> str:
         values = (getattr(self, name) for name in _CSV_FIELDS)
@@ -109,10 +110,8 @@ def _analytic_row(scenario: Scenario, cfg, param: str, value: float) -> ResultRo
 def _mc_row(scenario: Scenario, window: Window, cfg, param: str, value: float) -> ResultRow:
     engine = AnalyticEngine(scenario)
     mode = "sampled" if cfg.traffic_mode in ("sampled", "marginalized") else "at-mean"
-    ee = mc.estimate_ee(scenario, window, cfg.realizations, cfg.seed, engine=engine)
-    ce = mc.estimate_ce(
-        scenario, window, cfg.realizations, cfg.seed, traffic_mode=mode, engine=engine
-    )
+    ee, ce = mc.run_estimators(scenario, window, cfg.realizations, cfg.seed, [
+        mc.ee_estimator(scenario, window, engine), mc.ce_estimator(scenario, window, engine, traffic_mode=mode)])
     return ResultRow(
         strategy=scenario.strategy,
         engine="montecarlo",
@@ -126,6 +125,8 @@ def _mc_row(scenario: Scenario, window: Window, cfg, param: str, value: float) -
         ci_ee=1.96 * ee.std_error,
         ci_ce=1.96 * ce.std_error,
         seed=cfg.seed,
+        diagnostics={name: {"realizations_requested": cfg.realizations, "realizations_used": est.realization_count}
+                     for name, est in (("ee", ee), ("ce", ce))},
     )
 
 
@@ -205,6 +206,8 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
             if r.failure
         ],
         "assertions": assertions,
+        "diagnostics": [{"strategy": r.strategy, "engine": r.engine, "value": r.value, **r.diagnostics}
+                        for r in rows if r.diagnostics],
         "toolchain": {"python": platform.python_version(), "numpy": np.__version__,
                       "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
     }
@@ -324,6 +327,13 @@ def _cmd_sweep(args) -> int:
     return 2 if failed else 0
 
 
+def _agreement(quantity: str, analytic: float, est: mc.McEstimate) -> dict:
+    """Report item whose verdict is agreement within 3 standard errors."""
+    z = (est.mean - analytic) / est.std_error if est.std_error > 0 else math.inf
+    verdict = "agree" if abs(z) <= 3.0 else f"disagree (z={z:.1f})"
+    return {"quantity": quantity, "analytic": analytic, "mc_mean": est.mean, "mc_se": est.std_error, "verdict": verdict}
+
+
 def _cmd_compare(args) -> int:
     if not 0 < args.r_int < math.inf:
         raise ParameterError(f"--r-int must be > 0 and finite, got {args.r_int}")
@@ -332,25 +342,17 @@ def _cmd_compare(args) -> int:
     window = cfgmod.to_window(cfg)
     engine = AnalyticEngine(scenario)
     n = cfg.realizations
-    report = []
-
     i_ana = engine.avg_interference(args.r_int)
-    i_mc = mc.estimate_interference(scenario, window, args.r_int, n, cfg.seed, engine=engine)
-    z = (i_mc.mean - i_ana) / i_mc.std_error if i_mc.std_error > 0 else math.inf
-    report.append(
-        {
-            "quantity": f"interference@{args.r_int:g}m",
-            "analytic": i_ana,
-            "mc_mean": i_mc.mean,
-            "mc_se": i_mc.std_error,
-            "verdict": "agree" if abs(z) <= 3.0 else f"disagree (z={z:.1f})",
-        }
-    )
-
     ee_ana = engine.energy_efficiency()
-    ee_mc = mc.estimate_ee(scenario, window, n, cfg.seed, engine=engine)
+    ce_ana = engine.coverage_efficiency_traffic("at-mean")
+    i_mc, ee_mc, ce_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
+        mc.interference_estimator(scenario, window, args.r_int, engine),
+        mc.ee_estimator(scenario, window, engine),
+        mc.ce_estimator(scenario, window, engine, sinr_mode="mean-interference"),
+    ])
     jensen_ok = ee_ana <= ee_mc.mean + 3.0 * ee_mc.std_error
-    report.append(
+    report = [
+        _agreement(f"interference@{args.r_int:g}m", i_ana, i_mc),
         {
             "quantity": "energy-efficiency",
             "analytic": ee_ana,
@@ -358,23 +360,9 @@ def _cmd_compare(args) -> int:
             "mc_se": ee_mc.std_error,
             "jensen_direction": jensen_ok,
             "verdict": "lower-bound holds" if jensen_ok else "lower-bound violated",
-        }
-    )
-
-    ce_ana = engine.coverage_efficiency_traffic("at-mean")
-    ce_mc = mc.estimate_ce(
-        scenario, window, n, cfg.seed, sinr_mode="mean-interference", engine=engine
-    )
-    zc = (ce_mc.mean - ce_ana) / ce_mc.std_error if ce_mc.std_error > 0 else math.inf
-    report.append(
-        {
-            "quantity": "coverage-efficiency",
-            "analytic": ce_ana,
-            "mc_mean": ce_mc.mean,
-            "mc_se": ce_mc.std_error,
-            "verdict": "agree" if abs(zc) <= 3.0 else f"disagree (z={zc:.1f})",
-        }
-    )
+        },
+        _agreement("coverage-efficiency", ce_ana, ce_mc),
+    ]
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "compare.json"), "w", encoding="utf-8") as fh:

@@ -4,10 +4,13 @@ finite-antenna validation of the asymptotic channel model.
 Every estimator draws its per-realization randomness from a child stream
 derived as SeedSequence([master_seed, index]), so results are bit-identical
 for a given (scenario, window, master_seed, count) regardless of how the
-realizations are scheduled.
+realizations are scheduled, or of which estimators share them.  Sums linear
+in the shadowing coefficient omega (station power, mean interference) take
+its moments in place of draws: conditional Monte Carlo, exact over omega.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,17 +90,21 @@ def _sample_offsets(model, rng: np.random.Generator, size) -> np.ndarray:
 
 def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min: float = 0.0):
     """Shadowed gains omega^2 d^(-2 alpha) from every station to every user,
-    zero from stations closer than ``r_min``.  Returns each user's serving
-    distance, its server's gain (the nearest station's when ``serving_idx`` is
-    None) and the summed gain of the other stations.  The server's column is
+    zero from stations closer than ``r_min``; with ``rng`` None, omega^2 is
+    its expectation, ``moment(2)``.  Returns each user's serving distance,
+    its server's gain (the nearest station's when ``serving_idx`` is None)
+    and the summed gain of the other stations.  The server's column is
     zeroed, not subtracted from the total, which cancels when it dominates."""
     d2 = (stations[None, :, 0] - users[:, None, 0]) ** 2
     d2 += (stations[None, :, 1] - users[:, None, 1]) ** 2
     rows = np.arange(len(users))
     if serving_idx is None:
         serving_idx = d2.argmin(axis=1)
-    omega = scenario.shadowing.sample_with(rng, size=d2.shape)
-    gain = np.where(d2 >= r_min**2, omega**2 * d2 ** (-scenario.radio.alpha), 0.0)
+    if rng is None:
+        omega2 = scenario.shadowing.moment(2)
+    else:
+        omega2 = scenario.shadowing.sample_with(rng, size=d2.shape) ** 2
+    gain = np.where(d2 >= r_min**2, omega2 * d2 ** (-scenario.radio.alpha), 0.0)
     own = gain[rows, serving_idx]
     gain[rows, serving_idx] = 0.0
     return np.sqrt(d2[rows, serving_idx]), own, gain.sum(axis=1)
@@ -106,12 +113,14 @@ def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min
 def run_realization(
     scenario: Scenario,
     window: Window,
-    seed_or_rng,
+    active: np.ndarray,
+    rng: np.random.Generator,
     engine: AnalyticEngine | None = None,
     n_ue: int | None = None,
     n_power_bs: int = 16,
 ) -> RealizationStats:
-    """Sample one network and measure per-UE SINR/rate and per-BS power.
+    """Measure per-UE SINR/rate and per-BS power on the active stations of
+    one realization, drawing the rest from ``rng``.
 
     The typical users are dropped uniformly in the measurement region and
     associate with their nearest active station; interferers are every other
@@ -119,13 +128,12 @@ def run_realization(
     the precoded-downlink sum over every sampled cell's users, with user
     offsets drawn from the strategy's serving-distance law (own-cell term
     excluded; its spatial expectation is divergent, see the analytics
-    module).
+    module).  The sum is linear in omega, so it takes E[omega] =
+    ``moment(1)`` in place of sampled shadowing (conditional Monte Carlo).
     """
-    rng = np.random.default_rng(seed_or_rng)
     if engine is None:
         engine = AnalyticEngine(scenario)
     s = scenario
-    active = sample_active(s, window, rng)
     inner = geometry.in_measurement_region(active, window)
     if len(active) == 0:
         empty = np.zeros(0)
@@ -155,55 +163,57 @@ def run_realization(
         ux = active[:, 0:1] + radii * np.cos(angles)
         uy = active[:, 1:2] + radii * np.sin(angles)
         radii2 = radii**2
+        scale = m * s.radio.p_p * s.shadowing.moment(1)
         power = np.empty(len(sample_idx))
-        # per-station (cells, users) blocks draw what one (stations, cells, users) draw would
         for row, i in enumerate(sample_idx):
             d2 = (ux - active[i, 0]) ** 2 + (uy - active[i, 1]) ** 2
-            omega = s.shadowing.sample_with(rng, size=d2.shape)
             # a user closer to this station than to its own server would have
             # associated here instead, so such contributions never occur
-            terms = np.where(d2 >= radii2, omega * d2 ** (-s.radio.alpha / 2.0), 0.0)
+            terms = np.where(d2 >= radii2, d2 ** (-s.radio.alpha / 2.0), 0.0)
             terms[i] = 0.0  # own-cell sum excluded
-            power[row] = m * s.radio.p_p * float(terms.sum())
+            power[row] = scale * float(terms.sum())
 
-    return RealizationStats(
-        active_count=int(inner.sum()),
-        serving_distance=serving,
-        interference=interference,
-        sinr=sinr,
-        rate=rate,
-        bs_tx_power=power,
-        no_coverage=False,
-    )
+    return RealizationStats(int(inner.sum()), serving, interference, sinr, rate, power)
 
 
-def _probe_interference(scenario: Scenario, window: Window, r_int: float, rng) -> np.ndarray | None:
-    """Summed interferer gains at probe users placed ``r_int`` from every
-    active station in the measurement region, at a uniform angle; ``None``
-    when the realization has no host or no interferer."""
-    active = sample_active(scenario, window, rng)
-    inner = geometry.in_measurement_region(active, window)
-    hosts = active[inner]
+def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int, estimators) -> list:
+    """Run ``(measure, reduce)`` estimators over the same ``n`` realizations.
+
+    Each realization's stations are drawn once.  Every ``measure(active,
+    rng)`` continues from its own copy of the stream as it stands after that
+    draw, so its values are exactly those of running it alone; it returns
+    None for a realization it skips.  ``reduce`` turns the kept values into
+    the estimate."""
+    kept = [[] for _ in estimators]
+    for k in range(n):
+        rng = child_rng(master_seed, k)
+        active = sample_active(scenario, window, rng)
+        for j, (measure, _) in enumerate(estimators):
+            value = measure(active, rng if j == len(estimators) - 1 else copy.deepcopy(rng))
+            if value is not None:
+                kept[j].append(value)
+    return [reduce(values) for (_, reduce), values in zip(estimators, kept)]
+
+
+def _probe_users(window: Window, active: np.ndarray, r_int: float, rng):
+    """Probe users placed ``r_int`` from every active station in the
+    measurement region, at a uniform angle, with their hosts' indices;
+    ``None`` when the realization has no host or no interferer."""
+    hosts = np.flatnonzero(geometry.in_measurement_region(active, window))
     if len(hosts) == 0 or len(active) < 2:
         return None
     theta = rng.uniform(0.0, 2.0 * np.pi, size=len(hosts))
-    probes = hosts + r_int * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    _, _, other = _received_power(active, probes, np.flatnonzero(inner), rng, scenario, r_min=r_int)
-    return other
+    return active[hosts] + r_int * np.stack([np.cos(theta), np.sin(theta)], axis=1), hosts
 
 
-def estimate_interference(
-    scenario: Scenario,
-    window: Window,
-    r_int: float,
-    n: int,
-    master_seed: int,
-    engine: AnalyticEngine | None = None,
-) -> McEstimate:
+def interference_estimator(
+    scenario: Scenario, window: Window, r_int: float, engine: AnalyticEngine | None = None
+):
     """Mean interference at a fixed serving distance, Palm-style: every
     active station in the measurement region hosts a probe user at distance
     ``r_int``; interferers closer than the server are never present under
-    nearest-station association, so none are counted."""
+    nearest-station association, so none are counted.  The mean is linear
+    in omega^2, so each gain takes ``moment(2)`` in place of a draw."""
     if r_int <= 0:
         raise ParameterError("r_int must be > 0")
     s = scenario
@@ -214,94 +224,92 @@ def estimate_interference(
     # deterministic bound on contributions beyond the sampled region
     # (constant-kernel tail from the inscribed-circle radius outward)
     r_edge = window.sampling_half_width
-    tail = (
-        m2
-        * pfpp
-        * s.shadowing.moment(2)
-        * engine.active_density
-        * 2.0
-        * np.pi
-        * r_edge ** (2.0 - 2.0 * s.radio.alpha)
-        / (2.0 * s.radio.alpha - 2.0)
-    )
-    means = []
-    for k in range(n):
-        gains = _probe_interference(s, window, r_int, child_rng(master_seed, k))
-        means.append(0.0 if gains is None else m2 * pfpp * float(gains.mean()))
-    est = _mc_estimate(np.asarray(means))
-    if est.mean > 0 and tail > 1e-3 * est.mean:
-        est = McEstimate(est.mean + tail, est.std_error, est.realization_count)
-    return est
+    tail = (m2 * pfpp * s.shadowing.moment(2) * engine.active_density * 2.0 * np.pi
+            * r_edge ** (2.0 - 2.0 * s.radio.alpha) / (2.0 * s.radio.alpha - 2.0))
+
+    def measure(active, rng):
+        probes = _probe_users(window, active, r_int, rng)
+        if probes is None:
+            return 0.0
+        return m2 * pfpp * float(_received_power(active, *probes, None, s, r_min=r_int)[2].mean())
+
+    def reduce(means):
+        est = _mc_estimate(means)
+        if est.mean > 0 and tail > 1e-3 * est.mean:
+            est = McEstimate(est.mean + tail, est.std_error, est.realization_count)
+        return est
+
+    return measure, reduce
+
+
+def estimate_interference(scenario, window, r_int, n, master_seed, engine=None) -> McEstimate:
+    """``interference_estimator`` over ``n`` realizations."""
+    est = interference_estimator(scenario, window, r_int, engine)
+    return run_estimators(scenario, window, n, master_seed, [est])[0]
 
 
 def estimate_rate_at_distance(
     scenario: Scenario, window: Window, r_int: float, n: int, master_seed: int
 ) -> McEstimate:
     """Mean achievable rate at fixed serving distance, with realized
-    (instantaneous) interference; the analytic bound must sit below this."""
+    (instantaneous) interference and shadowing; the analytic bound must sit
+    below this."""
     s = scenario
     m2 = float(s.radio.antennas_m) ** 2
     pfpp = s.radio.p_f * s.radio.p_p
-    means = []
-    for k in range(n):
-        rng = child_rng(master_seed, k)
-        gains = _probe_interference(s, window, r_int, rng)
-        if gains is None:
-            continue
-        interference = m2 * pfpp * gains
-        omega0 = s.shadowing.sample_with(rng, size=len(gains))
+
+    def measure(active, rng):
+        probes = _probe_users(window, active, r_int, rng)
+        if probes is None:
+            return None
+        interference = m2 * pfpp * _received_power(active, *probes, rng, s, r_min=r_int)[2]
+        omega0 = s.shadowing.sample_with(rng, size=len(interference))
         signal = m2 * pfpp * omega0**2 * r_int ** (-2.0 * s.radio.alpha)
-        rate = np.log2(1.0 + signal / (interference + s.radio.noise_power))
-        means.append(float(rate.mean()))
-    return _mc_estimate(np.asarray(means))
+        return float(np.log2(1.0 + signal / (interference + s.radio.noise_power)).mean())
+
+    return run_estimators(s, window, n, master_seed, [(measure, _mc_estimate)])[0]
 
 
-def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> McEstimate:
-    """Ratio-of-means with a delta-method standard error."""
-    num, den = np.asarray(num, float), np.asarray(den, float)
-    n = len(num)
-    a, b = num.mean(), den.mean()
-    ratio = a / b
-    resid = (num - ratio * den) / b
-    return McEstimate(float(ratio), float(resid.std(ddof=1) / np.sqrt(n)), n)
-
-
-def estimate_ee(
-    scenario: Scenario,
-    window: Window,
-    n: int,
-    master_seed: int,
-    engine: AnalyticEngine | None = None,
-    n_ue: int | None = None,
-) -> McEstimate:
+def ee_estimator(
+    scenario: Scenario, window: Window, engine: AnalyticEngine | None = None, n_ue: int | None = None
+):
     """Empirical energy efficiency: mean per-cell sum rate over mean
-    per-station power, across independent realizations."""
+    per-station power.  Realizations with no coverage or no sampled
+    station are skipped."""
     if engine is None:
         engine = AnalyticEngine(scenario)
-    rates, powers = [], []
-    for k in range(n):
-        stats = run_realization(scenario, window, child_rng(master_seed, k), engine=engine, n_ue=n_ue)
+    radio = scenario.radio
+
+    def measure(active, rng):
+        stats = run_realization(scenario, window, active, rng, engine=engine, n_ue=n_ue)
         if stats.no_coverage or len(stats.bs_tx_power) == 0:
-            continue
-        rates.append(engine.k_ue * float(stats.rate.mean()))
-        powers.append(
-            float(stats.bs_tx_power.mean()) / scenario.radio.eta
-            + scenario.radio.antennas_m * scenario.radio.p_rf_chain
-            + scenario.radio.p_sta
-        )
-    return _ratio_estimate(np.asarray(rates), np.asarray(powers))
+            return None
+        power = float(stats.bs_tx_power.mean()) / radio.eta
+        return engine.k_ue * float(stats.rate.mean()), power + radio.antennas_m * radio.p_rf_chain + radio.p_sta
+
+    def reduce(kept):  # ratio of means, with a delta-method standard error
+        rates, powers = np.asarray(kept, float).reshape(-1, 2).T
+        mean_power = powers.mean()
+        ratio = rates.mean() / mean_power
+        resid = (rates - ratio * powers) / mean_power
+        return McEstimate(float(ratio), float(resid.std(ddof=1) / np.sqrt(len(rates))), len(rates))
+
+    return measure, reduce
 
 
-def estimate_ce(
+def estimate_ee(scenario, window, n, master_seed, engine=None, n_ue=None) -> McEstimate:
+    """``ee_estimator`` over ``n`` realizations."""
+    return run_estimators(scenario, window, n, master_seed, [ee_estimator(scenario, window, engine, n_ue)])[0]
+
+
+def ce_estimator(
     scenario: Scenario,
     window: Window,
-    n: int,
-    master_seed: int,
+    engine: AnalyticEngine | None = None,
     traffic_mode: str = "at-mean",
     sinr_mode: str = "instantaneous",
-    engine: AnalyticEngine | None = None,
     n_ue: int = 16,
-) -> McEstimate:
+):
     """Empirical coverage efficiency: fraction of typical users whose rate
     exceeds their traffic demand.
 
@@ -316,13 +324,11 @@ def estimate_ce(
     if engine is None:
         engine = AnalyticEngine(scenario)
     s = scenario
-    fractions = []
-    for k in range(n):
-        rng = child_rng(master_seed, k)
-        stats = run_realization(s, window, rng, engine=engine, n_ue=n_ue, n_power_bs=0)
+
+    def measure(active, rng):
+        stats = run_realization(s, window, active, rng, engine=engine, n_ue=n_ue, n_power_bs=0)
         if stats.no_coverage:
-            fractions.append(0.0)
-            continue
+            return 0.0
         if sinr_mode == "mean-interference":
             rate = np.log2(1.0 + engine.sinr_of_distance(stats.serving_distance))
         else:
@@ -331,8 +337,16 @@ def estimate_ce(
             rho = s.traffic.sample_with(rng, size=len(rate))
         else:
             rho = s.traffic.mean()
-        fractions.append(float((rate > rho).mean()))
-    return _mc_estimate(np.asarray(fractions))
+        return float((rate > rho).mean())
+
+    return measure, _mc_estimate
+
+
+def estimate_ce(scenario, window, n, master_seed, traffic_mode="at-mean", sinr_mode="instantaneous",
+                engine=None, n_ue=16) -> McEstimate:
+    """``ce_estimator`` over ``n`` realizations."""
+    est = ce_estimator(scenario, window, engine, traffic_mode, sinr_mode, n_ue)
+    return run_estimators(scenario, window, n, master_seed, [est])[0]
 
 
 def empirical_nearest_pdf(
@@ -341,19 +355,13 @@ def empirical_nearest_pdf(
     """Normalized histogram of typical-user serving distances."""
     if n < 100:
         raise ParameterError("need at least 100 realizations")
-    dists = np.empty(n)
-    misses = 0
-    for k in range(n):
-        rng = child_rng(master_seed, k)
-        active = sample_active(scenario, window, rng)
-        if len(active) == 0:
-            misses += 1
-            dists[k] = np.nan
-            continue
-        dists[k] = geometry.nearest_distance((0.0, 0.0), active)
-    dists = dists[np.isfinite(dists)]
+
+    def measure(active, rng):
+        return geometry.nearest_distance((0.0, 0.0), active) if len(active) else None
+
+    dists = run_estimators(scenario, window, n, master_seed, [(measure, np.asarray)])[0]
     hist, edges = np.histogram(dists, bins=bins, density=True)
-    return hist, edges, misses
+    return hist, edges, n - len(dists)
 
 
 # ---- finite-antenna validation of the asymptotic channel -----------------

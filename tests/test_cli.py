@@ -66,6 +66,11 @@ def test_simulate_runs_and_reports_ci(cfg_file, tmp_path):
     assert row[1] == "montecarlo"
     assert float(row[9]) > 0  # ci_ee
     assert 0.0 <= float(row[8]) <= 1.0  # ce
+    (diag,) = json.loads((out / "summary.json").read_text())["diagnostics"]
+    assert diag["engine"] == "montecarlo"
+    assert diag["ce"] == {"realizations_requested": 40, "realizations_used": 40}
+    assert diag["ee"]["realizations_requested"] == 40
+    assert 2 <= diag["ee"]["realizations_used"] <= 40
 
 
 def test_sweep_deterministic_across_threads(cfg_file, tmp_path, monkeypatch):
@@ -97,13 +102,13 @@ def test_sweep_computes_each_distinct_scenario_once(cfg_file, tmp_path, monkeypa
     """ppp rows do not depend on delta: a delta sweep computes them once and
     writes the row at every value."""
     calls = []
-    estimate_ee = mc.estimate_ee
+    run_estimators = mc.run_estimators
 
     def counted(scenario, *args, **kwargs):
         calls.append(scenario.strategy)
-        return estimate_ee(scenario, *args, **kwargs)
+        return run_estimators(scenario, *args, **kwargs)
 
-    monkeypatch.setattr(mc, "estimate_ee", counted)
+    monkeypatch.setattr(mc, "run_estimators", counted)
     out = tmp_path / "out"
     argv = ["sweep", "--config", cfg_file, "--param", "delta", "--values", "100,200"]
     code = cli.main(argv + ["--strategies", "ppp,matern", "--engine", "mc", "--out", str(out)])

@@ -42,13 +42,19 @@ def test_sample_active_strategies(scenario):
     assert len(ppp) > len(active)
 
 
+def _realization(scenario, engine, master_seed, index, **kwargs):
+    rng = mc.child_rng(master_seed, index)
+    active = mc.sample_active(scenario, WINDOW, rng)
+    return mc.run_realization(scenario, WINDOW, active, rng, engine=engine, **kwargs)
+
+
 def test_mc_estimate_needs_two_values():
     with pytest.raises(ParameterError):
         mc.McEstimate(1.0, 0.0, 1)
 
 
 def test_run_realization_invariants(scenario, engine):
-    stats = mc.run_realization(scenario, WINDOW, mc.child_rng(2, 0), engine=engine)
+    stats = _realization(scenario, engine, 2, 0)
     assert stats.active_count > 0
     assert np.all(stats.sinr > 0)
     assert stats.rate == pytest.approx(np.log2(1.0 + stats.sinr), rel=1e-12)
@@ -57,60 +63,49 @@ def test_run_realization_invariants(scenario, engine):
 
 
 def test_run_realization_deterministic(scenario, engine):
-    a = mc.run_realization(scenario, WINDOW, mc.child_rng(3, 1), engine=engine)
-    b = mc.run_realization(scenario, WINDOW, mc.child_rng(3, 1), engine=engine)
+    a = _realization(scenario, engine, 3, 1)
+    b = _realization(scenario, engine, 3, 1)
     assert np.array_equal(a.rate, b.rate)
     assert np.array_equal(a.bs_tx_power, b.bs_tx_power)
 
 
-def test_run_realization_interference_next_to_server(monkeypatch, scenario, engine):
+def test_run_realization_interference_next_to_server(scenario, engine):
     """A user 1 m from its server, every other station >= 300 m away: the
     interference is the direct sum of the others' gains (omega == 1 at
     sigma_s = 0), not the total minus the dominant own term, which cancels."""
     others = np.array([[300.0, 0.0], [0.0, -400.0], [-500.0, 350.0], [420.0, 610.0]])
-    placed = {}
-
-    def stations_around_user(scenario, window, rng):
-        # the users are the next draw from the stream: read it from a copy
-        ue = copy.deepcopy(rng).uniform(-window.half_width, window.half_width, size=(1, 2))[0]
-        placed["ue"] = ue
-        placed["stations"] = np.vstack([ue + [1.0, 0.0], ue + others])
-        return placed["stations"]
-
-    monkeypatch.setattr(mc, "sample_active", stations_around_user)
-    stats = mc.run_realization(scenario, WINDOW, mc.child_rng(4, 0), engine=engine, n_ue=1, n_power_bs=0)
-    d = np.sqrt(((placed["stations"] - placed["ue"]) ** 2).sum(axis=1))
+    rng = mc.child_rng(4, 0)
+    # the users are the first draw from the stream: read it from a copy
+    ue = copy.deepcopy(rng).uniform(-WINDOW.half_width, WINDOW.half_width, size=(1, 2))[0]
+    stations = np.vstack([ue + [1.0, 0.0], ue + others])
+    stats = mc.run_realization(scenario, WINDOW, stations, rng, engine=engine, n_ue=1, n_power_bs=0)
+    d = np.sqrt(((stations - ue) ** 2).sum(axis=1))
     assert stats.serving_distance[0] == pytest.approx(1.0, rel=1e-9)
     radio = scenario.radio
     expected = float(radio.antennas_m) ** 2 * radio.p_f * radio.p_p * (d[1:] ** (-2.0 * radio.alpha)).sum()
     assert stats.interference[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_station_power_matches_direct_sum(monkeypatch):
-    """Per-station transmit power against m * P_p * sum(omega * d^-alpha),
+def test_station_power_matches_direct_sum():
+    """Per-station transmit power against m * P_p * E[omega] * sum(d^-alpha),
     summed one (station, cell, user) term at a time from a replay of the
     realization's stream: cells other than the station's own, users no
-    closer to the station than to their own server."""
+    closer to the station than to their own server.  The sum is linear in
+    omega, so its expectation over shadowing takes E[omega] = moment(1)."""
     scenario = Scenario(PARAMS, shadowing=ShadowingModel(6.0, "db-std"))
     engine = AnalyticEngine(scenario)
     layout = np.array([[0.0, 0.0], [260.0, 40.0], [-180.0, 230.0], [90.0, -310.0], [-400.0, -150.0]])
-    replay = {}
-
-    def fixed_layout(scenario, window, rng):
-        replay["rng"] = copy.deepcopy(rng)
-        return layout
-
-    monkeypatch.setattr(mc, "sample_active", fixed_layout)
     n_ue = 2
-    stats = mc.run_realization(scenario, WINDOW, mc.child_rng(6, 0), engine=engine, n_ue=n_ue)
+    rng = mc.child_rng(6, 0)
+    replay = copy.deepcopy(rng)
+    stats = mc.run_realization(scenario, WINDOW, layout, rng, engine=engine, n_ue=n_ue)
 
-    rng = replay["rng"]
     n, k = len(layout), max(int(round(engine.k_ue)), 1)
-    rng.uniform(-WINDOW.half_width, WINDOW.half_width, size=(n_ue, 2))  # typical users
-    scenario.shadowing.sample_with(rng, size=(n_ue, n))  # their gains
-    radii = mc._sample_offsets(engine.nearest_model, rng, size=(n, k))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(n, k))
-    omega = scenario.shadowing.sample_with(rng, size=(n, n, k))  # every station is sampled
+    replay.uniform(-WINDOW.half_width, WINDOW.half_width, size=(n_ue, 2))  # typical users
+    scenario.shadowing.sample_with(replay, size=(n_ue, n))  # their gains
+    radii = mc._sample_offsets(engine.nearest_model, replay, size=(n, k))
+    angles = replay.uniform(0.0, 2.0 * np.pi, size=(n, k))
+    omega_mean = scenario.shadowing.moment(1)
     radio = scenario.radio
     expected, excluded = [], 0
     for i, (sx, sy) in enumerate(layout):
@@ -123,10 +118,10 @@ def test_station_power_matches_direct_sum(monkeypatch):
                 y = cy + radii[c, u] * math.sin(angles[c, u])
                 d = math.hypot(x - sx, y - sy)
                 if d >= radii[c, u]:
-                    total += omega[i, c, u] * d ** (-radio.alpha)
+                    total += d ** (-radio.alpha)
                 else:
                     excluded += 1
-        expected.append(radio.antennas_m * radio.p_p * total)
+        expected.append(radio.antennas_m * radio.p_p * omega_mean * total)
     assert excluded > 0  # the layout exercises the association rule
     assert stats.bs_tx_power == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -139,10 +134,44 @@ def test_interference_matches_analytic(scenario, engine):
         mc.estimate_interference(scenario, WINDOW, 0.0, 10, 1)
 
 
+def test_interference_converges_at_paper_moments():
+    """At paper-moments sigma_s = 6, E[omega^2] = e^72: 150 lognormal draws
+    per gain cannot estimate it, so the estimate takes the moment itself and
+    converges to the analytic mean like the unshadowed one."""
+    sc = Scenario(PARAMS, shadowing=ShadowingModel(6.0))
+    eng = AnalyticEngine(sc)
+    est = mc.estimate_interference(sc, WINDOW, 100.0, 150, 11, engine=eng)
+    assert abs(est.mean - eng.avg_interference(100.0)) <= 3.0 * est.std_error
+
+
+def test_shared_realizations_match_single_estimators(monkeypatch):
+    """One pass draws each realization's stations once, and every estimator
+    in it reads exactly the values it reads alone, on its own stream."""
+    sc = Scenario(PARAMS, shadowing=ShadowingModel(6.0, "db-std"))
+    eng = AnalyticEngine(sc)
+    sample_active, draws = mc.sample_active, []
+
+    def counted(*args):
+        draws.append(1)
+        return sample_active(*args)
+
+    monkeypatch.setattr(mc, "sample_active", counted)
+    estimators = [
+        mc.ee_estimator(sc, WINDOW, eng),
+        mc.ce_estimator(sc, WINDOW, eng, traffic_mode="sampled"),
+        mc.interference_estimator(sc, WINDOW, 100.0, eng),
+    ]
+    ee, ce, interference = mc.run_estimators(sc, WINDOW, 12, 5, estimators)
+    assert len(draws) == 12
+    assert ee == mc.estimate_ee(sc, WINDOW, 12, 5, engine=eng)
+    assert ce == mc.estimate_ce(sc, WINDOW, 12, 5, traffic_mode="sampled", engine=eng)
+    assert interference == mc.estimate_interference(sc, WINDOW, 100.0, 12, 5, engine=eng)
+
+
 def test_tx_power_matches_analytic(scenario, engine):
     powers = []
     for k in range(150):
-        st = mc.run_realization(scenario, WINDOW, mc.child_rng(3, k), engine=engine)
+        st = _realization(scenario, engine, 3, k)
         if len(st.bs_tx_power):
             powers.append(st.bs_tx_power.mean())
     powers = np.asarray(powers)
