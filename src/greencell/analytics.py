@@ -246,35 +246,27 @@ class AnalyticEngine:
         base = s.radio.p_f * s.radio.p_p * s.shadowing.moment(2) / self.active_density * j
         return base if np.ndim(r) else float(base[0])
 
-    def avg_interference(self, r_int: float) -> float:
+    def avg_interference(self, r_int):
         """Average interference power seen at serving distance ``r_int``."""
-        if r_int <= 0:
-            raise ParameterError("r_int must be > 0")
         m2 = float(self.scenario.radio.antennas_m) ** 2
         return m2 * self.interference_base(r_int)
 
-    def _rate_from_base(self, r: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """Jensen lower bound of the mean achievable rate at distances ``r``,
-        averaging log2(1 + SINR(omega)) over the shadowing distribution with
-        the mean interference in the denominator."""
+    def rate_lower_bound(self, r):
+        """Jensen lower bound of the mean achievable rate at serving distance
+        ``r``, averaging log2(1 + SINR(omega)) over the shadowing distribution
+        with the mean interference in the denominator."""
         s = self.scenario
+        r_arr = np.atleast_1d(np.asarray(r, float))
+        base = self.interference_base(r_arr)
         m2 = float(s.radio.antennas_m) ** 2
-        num = m2 * (s.radio.p_f * s.radio.p_p * r ** (-2.0 * s.radio.alpha))
-        den = m2 * base + s.radio.noise_power
-        c = num / den
+        c = m2 * (s.radio.p_f * s.radio.p_p * r_arr ** (-2.0 * s.radio.alpha)) / (m2 * base + s.radio.noise_power)
         ls = s.shadowing.log_std
         if ls == 0:
-            return np.log1p(c) / np.log(2.0)
-        shift = np.sqrt(2.0) * ls * _GH_NODES  # s-values; omega = e^s
-        expo = 2.0 * shift[None, :] + np.log(c)[:, None]
-        vals = np.logaddexp(0.0, expo)  # ln(1 + omega^2 c)
-        return (vals @ _GH_WEIGHTS) / np.sqrt(np.pi) / np.log(2.0)
-
-    def rate_lower_bound(self, r_int: float) -> float:
-        if r_int <= 0:
-            raise ParameterError("r_int must be > 0")
-        r = np.asarray([r_int], float)
-        return float(self._rate_from_base(r, self.interference_base(r))[0])
+            out = np.log1p(c) / np.log(2.0)
+        else:  # omega = e^s at the Gauss-Hermite s-values; ln(1 + omega^2 c) per node
+            vals = np.logaddexp(0.0, 2.0 * (np.sqrt(2.0) * ls * _GH_NODES)[None, :] + np.log(c)[:, None])
+            out = (vals @ _GH_WEIGHTS) / np.sqrt(np.pi) / np.log(2.0)
+        return out if np.ndim(r) else float(out[0])
 
     @cached_property
     def _serving_grid(self):
@@ -293,9 +285,7 @@ class AnalyticEngine:
         if self.scenario.ues_per_cell == 0:
             return 0.0
         r, wf = self._serving_grid
-        base = self.interference_base(r)
-        rates = self._rate_from_base(r, base)
-        return float(self.k_ue * (wf * rates).sum())
+        return float(self.k_ue * (wf * self.rate_lower_bound(r)).sum())
 
     def avg_tx_power(self) -> float:
         """Mean per-station transmit power of the precoded downlink."""
@@ -327,24 +317,20 @@ class AnalyticEngine:
 
     # ---- SINR-vs-distance and coverage -----------------------------------
 
-    def _sinr_from_base(self, r: np.ndarray, base: np.ndarray) -> np.ndarray:
-        s = self.scenario
-        m2 = float(s.radio.antennas_m) ** 2
-        num = m2 * (s.radio.p_f * s.radio.p_p * s.shadowing.moment(2) * r ** (-2.0 * s.radio.alpha))
-        return num / (m2 * base + s.radio.noise_power)
-
     def sinr_of_distance(self, r):
         """Mean-interference SINR as a deterministic function of distance."""
+        s = self.scenario
         r_arr = np.atleast_1d(np.asarray(r, float))
-        if np.any(r_arr <= 0):
-            raise ParameterError("r must be > 0")
-        out = self._sinr_from_base(r_arr, self.interference_base(r_arr))
+        base = self.interference_base(r_arr)
+        m2 = float(s.radio.antennas_m) ** 2
+        num = m2 * (s.radio.p_f * s.radio.p_p * s.shadowing.moment(2) * r_arr ** (-2.0 * s.radio.alpha))
+        out = num / (m2 * base + s.radio.noise_power)
         return out if np.ndim(r) else float(out[0])
 
     @cached_property
     def _sinr_grid(self):
         r = np.geomspace(self.R_GRID_LO, self.R_GRID_HI, self.R_GRID_N)
-        gamma = self._sinr_from_base(r, self.interference_base(r))
+        gamma = self.sinr_of_distance(r)
         if not np.all(np.diff(gamma) < 0):
             raise MonotonicityError(
                 "SINR-vs-distance is not strictly decreasing on the grid; "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy
 
 from . import config as cfgmod
 from . import mc
@@ -29,7 +29,6 @@ from .analytics import RANDOM_MODES, STRATEGIES, AnalyticEngine, Scenario
 from .channel import CONVENTIONS
 from .errors import InterferenceDivergenceError, MonotonicityError, NormalizationFitError
 from .errors import ParameterError
-from .geometry import Window
 
 CSV_HEADER = "strategy,engine,param,value,lambda_star_density,lambda_star_fit,k_ue,ee,ce,ci_ee,ci_ce,seed"
 _CSV_FIELDS = CSV_HEADER.split(",")
@@ -86,55 +85,25 @@ def _content_hash(text: str) -> str:
     return hashlib.sha1(blob).hexdigest()
 
 
-def _analytic_row(scenario: Scenario, cfg, param: str, value: float) -> ResultRow:
-    engine = AnalyticEngine(scenario)
-    mode = "marginalized" if cfg.traffic_mode == "sampled" else cfg.traffic_mode
-    ee = engine.energy_efficiency()
-    ce = engine.coverage_efficiency_traffic(mode)
-    return ResultRow(
-        strategy=scenario.strategy,
-        engine="analytic",
-        param=param,
-        value=value,
-        lambda_star_density=engine.active_density,
-        lambda_star_fit=engine.lambda_star_fit,
-        k_ue=engine.k_ue,
-        ee=ee,
-        ce=ce,
-        ci_ee=0.0,
-        ci_ce=0.0,
-        seed=cfg.seed,
-    )
-
-
-def _mc_row(scenario: Scenario, window: Window, cfg, param: str, value: float) -> ResultRow:
-    engine = AnalyticEngine(scenario)
-    mode = "sampled" if cfg.traffic_mode in ("sampled", "marginalized") else "at-mean"
-    ee, ce = mc.run_estimators(scenario, window, cfg.realizations, cfg.seed, [
-        mc.ee_estimator(scenario, window, engine), mc.ce_estimator(scenario, window, engine, traffic_mode=mode)])
-    return ResultRow(
-        strategy=scenario.strategy,
-        engine="montecarlo",
-        param=param,
-        value=value,
-        lambda_star_density=engine.active_density,
-        lambda_star_fit=engine.lambda_star_fit,
-        k_ue=engine.k_ue,
-        ee=ee.mean,
-        ce=ce.mean,
-        ci_ee=1.96 * ee.std_error,
-        ci_ce=1.96 * ce.std_error,
-        seed=cfg.seed,
-        diagnostics={name: {"realizations_requested": cfg.realizations, "realizations_used": est.realization_count}
-                     for name, est in (("ee", ee), ("ce", ce))},
-    )
-
-
 def _compute_row(point, scenario: Scenario, engine_name, param, value) -> ResultRow:
     try:
+        engine = AnalyticEngine(scenario)
+        diagnostics = None
         if engine_name == "analytic":
-            return _analytic_row(scenario, point, param, float(value))
-        return _mc_row(scenario, cfgmod.to_window(point), point, param, float(value))
+            mode = "marginalized" if point.traffic_mode == "sampled" else point.traffic_mode
+            ee, ce = engine.energy_efficiency(), engine.coverage_efficiency_traffic(mode)
+            ci_ee = ci_ce = 0.0
+        else:
+            window = cfgmod.to_window(point)
+            mode = "sampled" if point.traffic_mode in ("sampled", "marginalized") else "at-mean"
+            ee_mc, ce_mc = mc.run_estimators(scenario, window, point.realizations, point.seed, [
+                mc.ee_estimator(engine, window), mc.ce_estimator(engine, window, traffic_mode=mode)])
+            ee, ce, ci_ee, ci_ce = ee_mc.mean, ce_mc.mean, 1.96 * ee_mc.std_error, 1.96 * ce_mc.std_error
+            diagnostics = {name: {"realizations_requested": point.realizations,
+                                  "realizations_used": est.realization_count}
+                           for name, est in (("ee", ee_mc), ("ce", ce_mc))}
+        return ResultRow(scenario.strategy, engine_name, param, float(value), engine.active_density,
+                         engine.lambda_star_fit, engine.k_ue, ee, ce, ci_ee, ci_ce, point.seed, diagnostics=diagnostics)
     except Exception as exc:  # row-level failure: emit NaNs, keep sweeping
         fields = dict.fromkeys(_CSV_FIELDS, math.nan)
         fields.update(strategy=point.strategy, engine=engine_name, param=param, value=float(value), seed=point.seed)
@@ -209,7 +178,7 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
         "diagnostics": [{"strategy": r.strategy, "engine": r.engine, "value": r.value, **r.diagnostics}
                         for r in rows if r.diagnostics],
         "toolchain": {"python": platform.python_version(), "numpy": np.__version__,
-                      "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
+                      "scipy": importlib.metadata.version("scipy"), "cpu_count": os.cpu_count()},
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -346,9 +315,9 @@ def _cmd_compare(args) -> int:
     ee_ana = engine.energy_efficiency()
     ce_ana = engine.coverage_efficiency_traffic("at-mean")
     i_mc, ee_mc, ce_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
-        mc.interference_estimator(scenario, window, args.r_int, engine),
-        mc.ee_estimator(scenario, window, engine),
-        mc.ce_estimator(scenario, window, engine, sinr_mode="mean-interference"),
+        mc.interference_estimator(engine, window, args.r_int),
+        mc.ee_estimator(engine, window),
+        mc.ce_estimator(engine, window, sinr_mode="mean-interference"),
     ])
     jensen_ok = ee_ana <= ee_mc.mean + 3.0 * ee_mc.std_error
     report = [

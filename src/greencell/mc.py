@@ -22,9 +22,13 @@ from .errors import ParameterError
 from .geometry import Window
 
 
-def child_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent per-realization stream; deterministic in (master, index)."""
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
+#: typical users per realization of the coverage estimator
+CE_USERS = 16
+
+
+def child_rng(master_seed: int, *key: int) -> np.random.Generator:
+    """Independent per-realization stream; deterministic in (master, key)."""
+    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, key)]))
 
 
 def sample_active(scenario: Scenario, window: Window, rng: np.random.Generator) -> np.ndarray:
@@ -111,11 +115,10 @@ def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min
 
 
 def run_realization(
-    scenario: Scenario,
+    engine: AnalyticEngine,
     window: Window,
     active: np.ndarray,
     rng: np.random.Generator,
-    engine: AnalyticEngine | None = None,
     n_ue: int | None = None,
     n_power_bs: int = 16,
 ) -> RealizationStats:
@@ -131,9 +134,7 @@ def run_realization(
     module).  The sum is linear in omega, so it takes E[omega] =
     ``moment(1)`` in place of sampled shadowing (conditional Monte Carlo).
     """
-    if engine is None:
-        engine = AnalyticEngine(scenario)
-    s = scenario
+    s = engine.scenario
     inner = geometry.in_measurement_region(active, window)
     if len(active) == 0:
         empty = np.zeros(0)
@@ -183,7 +184,7 @@ def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int,
     rng)`` continues from its own copy of the stream as it stands after that
     draw, so its values are exactly those of running it alone; it returns
     None for a realization it skips.  ``reduce`` turns the kept values into
-    the estimate."""
+    the estimate; each needs at least 2 kept values."""
     kept = [[] for _ in estimators]
     for k in range(n):
         rng = child_rng(master_seed, k)
@@ -192,6 +193,9 @@ def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int,
             value = measure(active, rng if j == len(estimators) - 1 else copy.deepcopy(rng))
             if value is not None:
                 kept[j].append(value)
+    for values in kept:
+        if len(values) < 2:
+            raise ParameterError(f"{len(values)} of {n} realizations usable; need at least 2")
     return [reduce(values) for (_, reduce), values in zip(estimators, kept)]
 
 
@@ -206,9 +210,7 @@ def _probe_users(window: Window, active: np.ndarray, r_int: float, rng):
     return active[hosts] + r_int * np.stack([np.cos(theta), np.sin(theta)], axis=1), hosts
 
 
-def interference_estimator(
-    scenario: Scenario, window: Window, r_int: float, engine: AnalyticEngine | None = None
-):
+def interference_estimator(engine: AnalyticEngine, window: Window, r_int: float):
     """Mean interference at a fixed serving distance, Palm-style: every
     active station in the measurement region hosts a probe user at distance
     ``r_int``; interferers closer than the server are never present under
@@ -216,9 +218,7 @@ def interference_estimator(
     in omega^2, so each gain takes ``moment(2)`` in place of a draw."""
     if r_int <= 0:
         raise ParameterError("r_int must be > 0")
-    s = scenario
-    if engine is None:
-        engine = AnalyticEngine(scenario)
+    s = engine.scenario
     m2 = float(s.radio.antennas_m) ** 2
     pfpp = s.radio.p_f * s.radio.p_p
     # deterministic bound on contributions beyond the sampled region
@@ -242,10 +242,10 @@ def interference_estimator(
     return measure, reduce
 
 
-def estimate_interference(scenario, window, r_int, n, master_seed, engine=None) -> McEstimate:
+def estimate_interference(engine, window, r_int, n, master_seed) -> McEstimate:
     """``interference_estimator`` over ``n`` realizations."""
-    est = interference_estimator(scenario, window, r_int, engine)
-    return run_estimators(scenario, window, n, master_seed, [est])[0]
+    est = interference_estimator(engine, window, r_int)
+    return run_estimators(engine.scenario, window, n, master_seed, [est])[0]
 
 
 def estimate_rate_at_distance(
@@ -270,22 +270,16 @@ def estimate_rate_at_distance(
     return run_estimators(s, window, n, master_seed, [(measure, _mc_estimate)])[0]
 
 
-def ee_estimator(
-    scenario: Scenario, window: Window, engine: AnalyticEngine | None = None, n_ue: int | None = None
-):
+def ee_estimator(engine: AnalyticEngine, window: Window):
     """Empirical energy efficiency: mean per-cell sum rate over mean
     per-station power.  Realizations with no coverage or no sampled
     station are skipped."""
-    if engine is None:
-        engine = AnalyticEngine(scenario)
-    radio = scenario.radio
 
     def measure(active, rng):
-        stats = run_realization(scenario, window, active, rng, engine=engine, n_ue=n_ue)
+        stats = run_realization(engine, window, active, rng)
         if stats.no_coverage or len(stats.bs_tx_power) == 0:
             return None
-        power = float(stats.bs_tx_power.mean()) / radio.eta
-        return engine.k_ue * float(stats.rate.mean()), power + radio.antennas_m * radio.p_rf_chain + radio.p_sta
+        return engine.k_ue * float(stats.rate.mean()), engine.bs_power(float(stats.bs_tx_power.mean()))
 
     def reduce(kept):  # ratio of means, with a delta-method standard error
         rates, powers = np.asarray(kept, float).reshape(-1, 2).T
@@ -297,21 +291,16 @@ def ee_estimator(
     return measure, reduce
 
 
-def estimate_ee(scenario, window, n, master_seed, engine=None, n_ue=None) -> McEstimate:
+def estimate_ee(engine, window, n, master_seed) -> McEstimate:
     """``ee_estimator`` over ``n`` realizations."""
-    return run_estimators(scenario, window, n, master_seed, [ee_estimator(scenario, window, engine, n_ue)])[0]
+    return run_estimators(engine.scenario, window, n, master_seed, [ee_estimator(engine, window)])[0]
 
 
 def ce_estimator(
-    scenario: Scenario,
-    window: Window,
-    engine: AnalyticEngine | None = None,
-    traffic_mode: str = "at-mean",
-    sinr_mode: str = "instantaneous",
-    n_ue: int = 16,
+    engine: AnalyticEngine, window: Window, traffic_mode: str = "at-mean", sinr_mode: str = "instantaneous"
 ):
-    """Empirical coverage efficiency: fraction of typical users whose rate
-    exceeds their traffic demand.
+    """Empirical coverage efficiency: fraction of ``CE_USERS`` typical users
+    per realization whose rate exceeds their traffic demand.
 
     ``sinr_mode='mean-interference'`` replaces the realized interference by
     the analytic average at the realized serving distance, matching the
@@ -321,12 +310,10 @@ def ce_estimator(
         raise ParameterError("traffic_mode must be 'at-mean' or 'sampled'")
     if sinr_mode not in ("instantaneous", "mean-interference"):
         raise ParameterError("sinr_mode must be 'instantaneous' or 'mean-interference'")
-    if engine is None:
-        engine = AnalyticEngine(scenario)
-    s = scenario
+    s = engine.scenario
 
     def measure(active, rng):
-        stats = run_realization(s, window, active, rng, engine=engine, n_ue=n_ue, n_power_bs=0)
+        stats = run_realization(engine, window, active, rng, n_ue=CE_USERS, n_power_bs=0)
         if stats.no_coverage:
             return 0.0
         if sinr_mode == "mean-interference":
@@ -342,26 +329,10 @@ def ce_estimator(
     return measure, _mc_estimate
 
 
-def estimate_ce(scenario, window, n, master_seed, traffic_mode="at-mean", sinr_mode="instantaneous",
-                engine=None, n_ue=16) -> McEstimate:
+def estimate_ce(engine, window, n, master_seed, traffic_mode="at-mean", sinr_mode="instantaneous") -> McEstimate:
     """``ce_estimator`` over ``n`` realizations."""
-    est = ce_estimator(scenario, window, engine, traffic_mode, sinr_mode, n_ue)
-    return run_estimators(scenario, window, n, master_seed, [est])[0]
-
-
-def empirical_nearest_pdf(
-    scenario: Scenario, window: Window, n: int, bins, master_seed: int = 0
-):
-    """Normalized histogram of typical-user serving distances."""
-    if n < 100:
-        raise ParameterError("need at least 100 realizations")
-
-    def measure(active, rng):
-        return geometry.nearest_distance((0.0, 0.0), active) if len(active) else None
-
-    dists = run_estimators(scenario, window, n, master_seed, [(measure, np.asarray)])[0]
-    hist, edges = np.histogram(dists, bins=bins, density=True)
-    return hist, edges, n - len(dists)
+    est = ce_estimator(engine, window, traffic_mode, sinr_mode)
+    return run_estimators(engine.scenario, window, n, master_seed, [est])[0]
 
 
 # ---- finite-antenna validation of the asymptotic channel -----------------
@@ -400,7 +371,7 @@ def finite_m_validation(
         rel_errors = []
         diag_devs = []
         for t in range(n_trials):
-            rng = child_rng(seed, t * 1000 + m)
+            rng = child_rng(seed, m, t)
             # fixed per-trial user layout: k users around each station
             ue = cells[:, None, :] + rng.uniform(-ue_radius, ue_radius, size=(n_cells, k, 2))
             # large-scale gains between station i and users of cell u

@@ -165,7 +165,7 @@ def test_criterion_05_interference_oracle():
         sc = Scenario(PARAMS, shadowing=ShadowingModel(sig))
         eng = AnalyticEngine(sc)
         for r in (50.0, 100.0, 150.0):
-            est = mc.estimate_interference(sc, MC_WINDOW, r, 200, 17, engine=eng)
+            est = mc.estimate_interference(eng, MC_WINDOW, r, 200, 17)
             z = (est.mean - eng.avg_interference(r)) / est.std_error
             worst = max(worst, abs(z))
     diverges = False
@@ -216,7 +216,7 @@ def test_criterion_07_strategy_ordering_both_engines():
         for strat in ("matern", "random", "ppp"):
             sc = Scenario(HcppParams(1e-4, delta), strategy=strat, shadowing=ShadowingModel(1.0))
             eng = AnalyticEngine(sc)
-            ee[strat] = mc.estimate_ee(sc, MC_WINDOW, 60, 42, engine=eng).mean
+            ee[strat] = mc.estimate_ee(eng, MC_WINDOW, 60, 42).mean
         ok_mc &= ee["matern"] > ee["random"] > ee["ppp"]
     report(
         7,

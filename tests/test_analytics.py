@@ -304,6 +304,34 @@ def test_rate_decreasing_in_distance(matern_engine):
     assert all(b < a for a, b in zip(rates, rates[1:]))
 
 
+# avg_cell_rate at each setting, to the bit: it sums the public per-distance rate
+@pytest.mark.parametrize(
+    "strategy, sigma, cell_rate",
+    [
+        ("matern", 0.0, 329.6407918835542),
+        ("matern", 6.0, 0.0007015029856710573),
+        ("ppp", 0.0, 13.979111634686173),
+        ("ppp", 6.0, 6.616551291815209e-08),
+    ],
+)
+def test_vector_rate_and_sinr_match_scalar_calls(strategy, sigma, cell_rate):
+    """Array in, array out, with the scalar call's value at each radius.  At
+    sigma_s > 0 the Gauss-Hermite sum is one BLAS matrix-vector product
+    whose rounding of a row depends on its place in the array, so there the
+    rate matches to a few ulp rather than bit for bit."""
+    eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy, shadowing=ShadowingModel(sigma)))
+    r = np.array([0.5, 37.0, 99.9, 100.0, 150.0, 199.0, 250.0, 400.0, 2500.0])
+    sinr, rate = eng.sinr_of_distance(r), eng.rate_lower_bound(r)
+    assert isinstance(eng.rate_lower_bound(150.0), float) and isinstance(eng.sinr_of_distance(150.0), float)
+    assert np.array_equal(sinr, [eng.sinr_of_distance(float(x)) for x in r])
+    scalar_rate = [eng.rate_lower_bound(float(x)) for x in r]
+    if sigma == 0.0:
+        assert np.array_equal(rate, scalar_rate)
+    else:
+        assert rate == pytest.approx(scalar_rate, rel=4 * np.finfo(float).eps, abs=0.0)
+    assert eng.avg_cell_rate() == cell_rate
+
+
 def test_k_ue_conserves_users(matern_engine, ppp_engine):
     assert ppp_engine.k_ue == pytest.approx(5.0, rel=1e-12)
     expect = 5.0 * PARAMS.lambda_b / zeta1(PARAMS)

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from greencell import cli, mc
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 FAST_CFG = """\
 lambda_b=1e-4
@@ -177,6 +184,7 @@ def test_summary_records_toolchain(cfg_file, tmp_path):
     toolchain = json.loads((out / "summary.json").read_text())["toolchain"]
     assert set(toolchain) == {"python", "numpy", "scipy", "cpu_count"}
     assert toolchain["numpy"] == np.__version__
+    assert toolchain["scipy"] == scipy.__version__
     assert (out / "results.csv").read_text().splitlines()[0] == cli.CSV_HEADER
 
 
@@ -386,3 +394,18 @@ def test_compare_reports_analytic_divergence_as_error(tmp_path, capsys):
 def test_validate_rejects_empty_antenna_list(cfg_file, capsys):
     assert cli.main(["validate-asymptotics", "--config", cfg_file, "--antennas", ""]) == 1
     assert capsys.readouterr().err.startswith("error: --antennas must be non-empty")
+
+
+def test_simulate_with_no_usable_realizations_is_one_error_line(tmp_path):
+    """A 40 m window at lambda_b = 1e-5 holds no station in any of its 3
+    realizations: the row fails on the realization count, before any
+    estimate reduces an empty sample (which would warn from numpy)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window_m=40\nguard_m=0\nlambda_b=1e-5\nrealizations=3\n")
+    argv = [sys.executable, "-m", "greencell.cli", "simulate", "--seed", "1", "--config", str(cfg)]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(argv + ["--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: ParameterError: 0 of 3 realizations usable; need at least 2"]
+    assert "RuntimeWarning" not in proc.stderr

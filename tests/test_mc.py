@@ -45,7 +45,7 @@ def test_sample_active_strategies(scenario):
 def _realization(scenario, engine, master_seed, index, **kwargs):
     rng = mc.child_rng(master_seed, index)
     active = mc.sample_active(scenario, WINDOW, rng)
-    return mc.run_realization(scenario, WINDOW, active, rng, engine=engine, **kwargs)
+    return mc.run_realization(engine, WINDOW, active, rng, **kwargs)
 
 
 def test_mc_estimate_needs_two_values():
@@ -78,7 +78,7 @@ def test_run_realization_interference_next_to_server(scenario, engine):
     # the users are the first draw from the stream: read it from a copy
     ue = copy.deepcopy(rng).uniform(-WINDOW.half_width, WINDOW.half_width, size=(1, 2))[0]
     stations = np.vstack([ue + [1.0, 0.0], ue + others])
-    stats = mc.run_realization(scenario, WINDOW, stations, rng, engine=engine, n_ue=1, n_power_bs=0)
+    stats = mc.run_realization(engine, WINDOW, stations, rng, n_ue=1, n_power_bs=0)
     d = np.sqrt(((stations - ue) ** 2).sum(axis=1))
     assert stats.serving_distance[0] == pytest.approx(1.0, rel=1e-9)
     radio = scenario.radio
@@ -98,7 +98,7 @@ def test_station_power_matches_direct_sum():
     n_ue = 2
     rng = mc.child_rng(6, 0)
     replay = copy.deepcopy(rng)
-    stats = mc.run_realization(scenario, WINDOW, layout, rng, engine=engine, n_ue=n_ue)
+    stats = mc.run_realization(engine, WINDOW, layout, rng, n_ue=n_ue)
 
     n, k = len(layout), max(int(round(engine.k_ue)), 1)
     replay.uniform(-WINDOW.half_width, WINDOW.half_width, size=(n_ue, 2))  # typical users
@@ -127,11 +127,11 @@ def test_station_power_matches_direct_sum():
 
 
 def test_interference_matches_analytic(scenario, engine):
-    est = mc.estimate_interference(scenario, WINDOW, 100.0, 150, 11, engine=engine)
+    est = mc.estimate_interference(engine, WINDOW, 100.0, 150, 11)
     ana = engine.avg_interference(100.0)
     assert abs(est.mean - ana) <= 3.0 * est.std_error
     with pytest.raises(ParameterError):
-        mc.estimate_interference(scenario, WINDOW, 0.0, 10, 1)
+        mc.estimate_interference(engine, WINDOW, 0.0, 10, 1)
 
 
 def test_interference_converges_at_paper_moments():
@@ -140,7 +140,7 @@ def test_interference_converges_at_paper_moments():
     converges to the analytic mean like the unshadowed one."""
     sc = Scenario(PARAMS, shadowing=ShadowingModel(6.0))
     eng = AnalyticEngine(sc)
-    est = mc.estimate_interference(sc, WINDOW, 100.0, 150, 11, engine=eng)
+    est = mc.estimate_interference(eng, WINDOW, 100.0, 150, 11)
     assert abs(est.mean - eng.avg_interference(100.0)) <= 3.0 * est.std_error
 
 
@@ -157,15 +157,15 @@ def test_shared_realizations_match_single_estimators(monkeypatch):
 
     monkeypatch.setattr(mc, "sample_active", counted)
     estimators = [
-        mc.ee_estimator(sc, WINDOW, eng),
-        mc.ce_estimator(sc, WINDOW, eng, traffic_mode="sampled"),
-        mc.interference_estimator(sc, WINDOW, 100.0, eng),
+        mc.ee_estimator(eng, WINDOW),
+        mc.ce_estimator(eng, WINDOW, traffic_mode="sampled"),
+        mc.interference_estimator(eng, WINDOW, 100.0),
     ]
     ee, ce, interference = mc.run_estimators(sc, WINDOW, 12, 5, estimators)
     assert len(draws) == 12
-    assert ee == mc.estimate_ee(sc, WINDOW, 12, 5, engine=eng)
-    assert ce == mc.estimate_ce(sc, WINDOW, 12, 5, traffic_mode="sampled", engine=eng)
-    assert interference == mc.estimate_interference(sc, WINDOW, 100.0, 12, 5, engine=eng)
+    assert ee == mc.estimate_ee(eng, WINDOW, 12, 5)
+    assert ce == mc.estimate_ce(eng, WINDOW, 12, 5, traffic_mode="sampled")
+    assert interference == mc.estimate_interference(eng, WINDOW, 100.0, 12, 5)
 
 
 def test_tx_power_matches_analytic(scenario, engine):
@@ -188,41 +188,47 @@ def test_rate_jensen_direction(scenario, engine):
 
 
 def test_estimate_ee_positive(scenario, engine):
-    est = mc.estimate_ee(scenario, WINDOW, 40, 9, engine=engine)
+    est = mc.estimate_ee(engine, WINDOW, 40, 9)
     assert est.mean > 0
     assert est.std_error > 0
     assert est.realization_count <= 40
 
 
 def test_estimate_ce_modes(scenario, engine):
-    inst = mc.estimate_ce(scenario, WINDOW, 60, 5, engine=engine)
-    mean_i = mc.estimate_ce(scenario, WINDOW, 60, 5, sinr_mode="mean-interference", engine=engine)
+    inst = mc.estimate_ce(engine, WINDOW, 60, 5)
+    mean_i = mc.estimate_ce(engine, WINDOW, 60, 5, sinr_mode="mean-interference")
     assert 0.0 <= inst.mean <= 1.0
     assert 0.0 <= mean_i.mean <= 1.0
-    sampled = mc.estimate_ce(scenario, WINDOW, 30, 5, traffic_mode="sampled", engine=engine)
+    sampled = mc.estimate_ce(engine, WINDOW, 30, 5, traffic_mode="sampled")
     assert 0.0 <= sampled.mean <= 1.0
     with pytest.raises(ParameterError):
-        mc.estimate_ce(scenario, WINDOW, 30, 5, traffic_mode="hourly")
+        mc.estimate_ce(engine, WINDOW, 30, 5, traffic_mode="hourly")
     with pytest.raises(ParameterError):
-        mc.estimate_ce(scenario, WINDOW, 30, 5, sinr_mode="peak")
+        mc.estimate_ce(engine, WINDOW, 30, 5, sinr_mode="peak")
 
 
 def test_ce_deterministic_in_seed(scenario, engine):
-    a = mc.estimate_ce(scenario, WINDOW, 30, 5, engine=engine)
-    b = mc.estimate_ce(scenario, WINDOW, 30, 5, engine=engine)
+    a = mc.estimate_ce(engine, WINDOW, 30, 5)
+    b = mc.estimate_ce(engine, WINDOW, 30, 5)
     assert a.mean == b.mean
     assert a.std_error == b.std_error
 
 
-def test_empirical_nearest_pdf(scenario):
-    hist, edges, misses = mc.empirical_nearest_pdf(
-        scenario, WINDOW, 400, bins=np.linspace(0.0, 800.0, 17), master_seed=7
-    )
-    mass = (hist * np.diff(edges)).sum()
-    assert mass == pytest.approx(1.0, rel=1e-12)
-    assert misses == 0
-    with pytest.raises(ParameterError):
-        mc.empirical_nearest_pdf(scenario, WINDOW, 50, bins=8)
+def test_finite_m_streams_distinct_across_antenna_counts(monkeypatch):
+    """Each (antenna count, trial) has its own stream: counts 1000 apart
+    share none (a key of t * 1000 + m made trial t at m = 1016 trial t + 1
+    at m = 16)."""
+    child_rng, keys = mc.child_rng, []
+
+    def recorded(seed, *key):
+        keys.append(key)
+        return child_rng(seed, *key)
+
+    monkeypatch.setattr(mc, "child_rng", recorded)
+    cells = [(-600.0, 0.0), (600.0, 0.0), (0.0, 800.0)]
+    mc.finite_m_validation([16, 1016], 5, cells, RadioParams(), seed=2, n_trials=3)
+    assert len(keys) == 6
+    assert len(set(keys)) == len(keys)
 
 
 def test_finite_m_errors_shrink():

@@ -1,0 +1,43 @@
+"""The benchmark's traced mode wraps the names in ``perfbench/child.py``'s
+``LAYERS`` with ``vars(owner)[attr]`` and reads each estimator's realization
+count by position.  A rename or a moved ``n`` here would crash a traced run;
+this test makes it fail in the test suite instead."""
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+@pytest.fixture(scope="module")
+def child():
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module, path):
+    owner = importlib.import_module(f"greencell.{module}")
+    *outer, attr = path.split(".")
+    for name in outer:
+        owner = getattr(owner, name)
+    return vars(owner)[attr]
+
+
+def test_every_layer_resolves(child):
+    for module, path, _, _ in child.LAYERS:
+        assert callable(_resolve(module, path)), f"{module}.{path}"
+
+
+@pytest.mark.parametrize("name", ["estimate_ee", "estimate_ce", "estimate_interference"])
+def test_estimate_counters_read_n(child, name):
+    (count,) = [c for module, path, _, c in child.LAYERS if (module, path) == ("mc", name)]
+    params = list(inspect.signature(_resolve("mc", name)).parameters)
+    # the counter reports whatever sits at its position: give each position its index
+    counters = count(tuple(range(len(params))), {}, SimpleNamespace(realization_count=0))
+    assert counters["realizations_requested"] == params.index("n")
