@@ -265,7 +265,7 @@ class AnalyticEngine:
             out = np.log1p(c) / np.log(2.0)
         else:  # omega = e^s at the Gauss-Hermite s-values; ln(1 + omega^2 c) per node
             vals = np.logaddexp(0.0, 2.0 * (np.sqrt(2.0) * ls * _GH_NODES)[None, :] + np.log(c)[:, None])
-            out = (vals @ _GH_WEIGHTS) / np.sqrt(np.pi) / np.log(2.0)
+            out = (vals * _GH_WEIGHTS).sum(axis=1) / np.sqrt(np.pi) / np.log(2.0)
         return out if np.ndim(r) else float(out[0])
 
     @cached_property

@@ -332,6 +332,8 @@ def _cmd_compare(args) -> int:
         },
         _agreement("coverage-efficiency", ce_ana, ce_mc),
     ]
+    for item, est in zip(report, (i_mc, ee_mc, ce_mc)):
+        item.update(realizations_requested=n, realizations_used=est.realization_count)
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "compare.json"), "w", encoding="utf-8") as fh:

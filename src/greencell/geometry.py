@@ -50,23 +50,6 @@ class Window:
         return (2.0 * self.sampling_half_width) ** 2
 
 
-@dataclass(frozen=True)
-class MarkedPointSet:
-    """Points with i.i.d. Uniform[0,1] activity marks (traffic-load ratios)."""
-
-    points: np.ndarray  # (n, 2)
-    marks: np.ndarray  # (n,)
-
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.marks):
-            raise ParameterError("points and marks must have equal length")
-        if len(self.marks) and not ((self.marks >= 0) & (self.marks <= 1)).all():
-            raise ParameterError("marks must lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.marks)
-
-
 def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
     """Homogeneous Poisson process on the sampling region, as an (n, 2) array;
     ``seed`` is a seed or a ``Generator``, drawn from in place."""
@@ -78,31 +61,28 @@ def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
     return rng.uniform(-h, h, size=(n, 2))
 
 
-def assign_marks(points: np.ndarray, seed) -> MarkedPointSet:
-    """Attach independent Uniform[0,1] marks to each point; ``seed`` is a
-    seed or a ``Generator``, drawn from in place."""
-    rng = np.random.default_rng(seed)
-    return MarkedPointSet(points=np.asarray(points, float), marks=rng.uniform(size=len(points)))
-
-
-def matern_ii_thin(marked: MarkedPointSet, delta: float) -> np.ndarray:
+def matern_ii_thin(points: np.ndarray, marks: np.ndarray, delta: float) -> np.ndarray:
     """Dependent (Matern type II) thinning with hard-core distance ``delta``.
 
     A point survives iff no other point within distance ``delta`` carries a
-    larger mark, i.e. the locally highest traffic load stays on.  Mark ties
-    (measure zero in theory, possible in finite precision) are broken by
-    insertion index so the output is always a valid hard-core set.
+    larger mark (one per point, e.g. its traffic load), i.e. the locally
+    highest load stays on.  Marks are only compared, so any real values
+    serve.  Mark ties (measure zero in theory, possible in finite precision)
+    are broken by insertion index so the output is always a valid hard-core
+    set.
     """
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
-    pts = np.asarray(marked.points, float)
+    if len(points) != len(marks):
+        raise ParameterError("points and marks must have equal length")
+    pts = np.asarray(points, float)
     if delta == 0 or len(pts) < 2:
         return pts.copy()
     pairs = cKDTree(pts).query_pairs(delta, output_type="ndarray")
     keep = np.ones(len(pts), dtype=bool)
     if len(pairs):
         i, j = pairs.T
-        m = marked.marks
+        m = np.asarray(marks)
         # total order on (mark, index); the smaller of each conflicting pair dies
         i_loses = (m[i] < m[j]) | ((m[i] == m[j]) & (i < j))
         keep[np.where(i_loses, i, j)] = False
@@ -185,16 +165,9 @@ def empirical_pair_correlation(
         z = np.zeros(len(centers_r))
         return PairCorrelationEstimate(centers_r, z, z.astype(int), 0, empty=True)
 
-    tree = cKDTree(pts)
-    counts = np.zeros(len(centers_r), dtype=int)
-    neighbor_lists = tree.query_ball_point(centers, r_max + bin_width)
-    for idx, nbrs in zip(np.flatnonzero(is_center), neighbor_lists):
-        nbrs = [j for j in nbrs if j != idx]
-        if not nbrs:
-            continue
-        d = np.sqrt(((pts[nbrs] - pts[idx]) ** 2).sum(axis=1))
-        hist, _ = np.histogram(d, bins=edges)
-        counts += hist
+    # cumulative (center, point) pairs within each edge; the differences drop
+    # each center's pair with itself, at distance 0 <= edges[0]
+    counts = np.diff(cKDTree(centers).count_neighbors(cKDTree(pts), edges))
     annulus = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
     center_area = (2.0 * inner) ** 2
     density = counts / (center_area * annulus)

@@ -24,6 +24,8 @@ from .geometry import Window
 
 #: typical users per realization of the coverage estimator
 CE_USERS = 16
+#: stations in the measurement region whose transmit power an EE realization measures
+POWER_STATIONS = 16
 
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -39,7 +41,7 @@ def sample_active(scenario: Scenario, window: Window, rng: np.random.Generator) 
     if s.strategy == "ppp":
         return pts
     if s.strategy == "matern":
-        return geometry.matern_ii_thin(geometry.assign_marks(pts, rng), s.hcpp.delta)
+        return geometry.matern_ii_thin(pts, rng.uniform(size=len(pts)), s.hcpp.delta)
     return geometry.random_thin(pts, s.retain_probability, rng)
 
 
@@ -58,19 +60,6 @@ def _mc_estimate(values: np.ndarray) -> McEstimate:
     values = np.asarray(values, float)
     n = len(values)
     return McEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)), n)
-
-
-@dataclass
-class RealizationStats:
-    """Per-realization record of the sampled network around the typical user."""
-
-    active_count: int
-    serving_distance: np.ndarray  # per UE, m
-    interference: np.ndarray  # per UE, W
-    sinr: np.ndarray
-    rate: np.ndarray  # bits/s/Hz
-    bs_tx_power: np.ndarray  # per sampled station, W
-    no_coverage: bool = False
 
 
 @lru_cache(maxsize=32)
@@ -114,67 +103,55 @@ def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min
     return np.sqrt(d2[rows, serving_idx]), own, gain.sum(axis=1)
 
 
-def run_realization(
-    engine: AnalyticEngine,
-    window: Window,
-    active: np.ndarray,
-    rng: np.random.Generator,
-    n_ue: int | None = None,
-    n_power_bs: int = 16,
-) -> RealizationStats:
-    """Measure per-UE SINR/rate and per-BS power on the active stations of
-    one realization, drawing the rest from ``rng``.
-
-    The typical users are dropped uniformly in the measurement region and
-    associate with their nearest active station; interferers are every other
-    active station in the sampling region.  Station transmit power follows
-    the precoded-downlink sum over every sampled cell's users, with user
-    offsets drawn from the strategy's serving-distance law (own-cell term
-    excluded; its spatial expectation is divergent, see the analytics
-    module).  The sum is linear in omega, so it takes E[omega] =
-    ``moment(1)`` in place of sampled shadowing (conditional Monte Carlo).
-    """
+def _typical_users(engine: AnalyticEngine, window: Window, active: np.ndarray, rng, n_ue: int):
+    """Serving distances and rates (bits/s/Hz) of ``n_ue`` typical users
+    dropped uniformly in the measurement region, drawing their positions
+    and shadowing from ``rng``.  Each associates with its nearest station
+    of the non-empty ``active``; every other active station interferes."""
     s = engine.scenario
-    inner = geometry.in_measurement_region(active, window)
-    if len(active) == 0:
-        empty = np.zeros(0)
-        return RealizationStats(0, empty, empty, empty, empty, empty, no_coverage=True)
-
-    k_int = max(int(round(engine.k_ue)), 1)
-    if n_ue is None:
-        n_ue = k_int
-    m = s.radio.antennas_m
-    m2 = float(m) ** 2
-    pfpp = s.radio.p_f * s.radio.p_p
-
+    gain = float(s.radio.antennas_m) ** 2 * (s.radio.p_f * s.radio.p_p)
     ue = rng.uniform(-window.half_width, window.half_width, size=(n_ue, 2))
     serving, own, other = _received_power(active, ue, None, rng, s)
-    interference = m2 * pfpp * other
-    signal = m2 * pfpp * own
-    sinr = signal / (interference + s.radio.noise_power)
-    rate = np.log2(1.0 + sinr)
+    return serving, np.log2(1.0 + gain * own / (gain * other + s.radio.noise_power))
 
-    # per-station transmit power over sampled cells
-    inner_idx = np.flatnonzero(inner)
-    power = np.zeros(0)
-    if n_power_bs and len(inner_idx) and len(active) > 1:
-        sample_idx = inner_idx[:n_power_bs]
-        radii = _sample_offsets(engine.nearest_model, rng, size=(len(active), k_int))
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(active), k_int))
-        ux = active[:, 0:1] + radii * np.cos(angles)
-        uy = active[:, 1:2] + radii * np.sin(angles)
-        radii2 = radii**2
-        scale = m * s.radio.p_p * s.shadowing.moment(1)
-        power = np.empty(len(sample_idx))
-        for row, i in enumerate(sample_idx):
-            d2 = (ux - active[i, 0]) ** 2 + (uy - active[i, 1]) ** 2
-            # a user closer to this station than to its own server would have
-            # associated here instead, so such contributions never occur
-            terms = np.where(d2 >= radii2, d2 ** (-s.radio.alpha / 2.0), 0.0)
-            terms[i] = 0.0  # own-cell sum excluded
-            power[row] = scale * float(terms.sum())
 
-    return RealizationStats(int(inner.sum()), serving, interference, sinr, rate, power)
+def run_realization(engine: AnalyticEngine, window: Window, active: np.ndarray, rng: np.random.Generator):
+    """Energy-efficiency measurements on the non-empty ``active`` stations
+    of one realization, drawing the rest from ``rng``: the rates of k
+    typical users, and the transmit power of the first ``POWER_STATIONS``
+    stations in the measurement region (none when it holds no station or
+    ``active`` only one).
+
+    Station transmit power follows the precoded-downlink sum over every
+    sampled cell's users, with user offsets drawn from the strategy's
+    serving-distance law (own-cell term excluded; its spatial expectation
+    is divergent, see the analytics module).  The sum is linear in omega,
+    so it takes E[omega] = ``moment(1)`` in place of sampled shadowing
+    (conditional Monte Carlo).
+    """
+    s = engine.scenario
+    k_int = max(int(round(engine.k_ue)), 1)
+    _, rate = _typical_users(engine, window, active, rng, k_int)
+    sample_idx = np.flatnonzero(geometry.in_measurement_region(active, window))[:POWER_STATIONS]
+    if len(sample_idx) == 0 or len(active) < 2:
+        return rate, np.zeros(0)
+
+    m = s.radio.antennas_m
+    radii = _sample_offsets(engine.nearest_model, rng, size=(len(active), k_int))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(active), k_int))
+    ux = active[:, 0:1] + radii * np.cos(angles)
+    uy = active[:, 1:2] + radii * np.sin(angles)
+    radii2 = radii**2
+    scale = m * s.radio.p_p * s.shadowing.moment(1)
+    power = np.empty(len(sample_idx))
+    for row, i in enumerate(sample_idx):
+        d2 = (ux - active[i, 0]) ** 2 + (uy - active[i, 1]) ** 2
+        # a user closer to this station than to its own server would have
+        # associated here instead, so such contributions never occur
+        terms = np.where(d2 >= radii2, d2 ** (-s.radio.alpha / 2.0), 0.0)
+        terms[i] = 0.0  # own-cell sum excluded
+        power[row] = scale * float(terms.sum())
+    return rate, power
 
 
 def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int, estimators) -> list:
@@ -272,14 +249,16 @@ def estimate_rate_at_distance(
 
 def ee_estimator(engine: AnalyticEngine, window: Window):
     """Empirical energy efficiency: mean per-cell sum rate over mean
-    per-station power.  Realizations with no coverage or no sampled
-    station are skipped."""
+    per-station power.  Realizations with no active station or no
+    measured station power are skipped."""
 
     def measure(active, rng):
-        stats = run_realization(engine, window, active, rng)
-        if stats.no_coverage or len(stats.bs_tx_power) == 0:
+        if len(active) == 0:
             return None
-        return engine.k_ue * float(stats.rate.mean()), engine.bs_power(float(stats.bs_tx_power.mean()))
+        rate, power = run_realization(engine, window, active, rng)
+        if len(power) == 0:
+            return None
+        return engine.k_ue * float(rate.mean()), engine.bs_power(float(power.mean()))
 
     def reduce(kept):  # ratio of means, with a delta-method standard error
         rates, powers = np.asarray(kept, float).reshape(-1, 2).T
@@ -300,7 +279,8 @@ def ce_estimator(
     engine: AnalyticEngine, window: Window, traffic_mode: str = "at-mean", sinr_mode: str = "instantaneous"
 ):
     """Empirical coverage efficiency: fraction of ``CE_USERS`` typical users
-    per realization whose rate exceeds their traffic demand.
+    per realization whose rate exceeds their traffic demand; 0 with no
+    active station.
 
     ``sinr_mode='mean-interference'`` replaces the realized interference by
     the analytic average at the realized serving distance, matching the
@@ -313,13 +293,11 @@ def ce_estimator(
     s = engine.scenario
 
     def measure(active, rng):
-        stats = run_realization(engine, window, active, rng, n_ue=CE_USERS, n_power_bs=0)
-        if stats.no_coverage:
+        if len(active) == 0:
             return 0.0
+        serving, rate = _typical_users(engine, window, active, rng, CE_USERS)
         if sinr_mode == "mean-interference":
-            rate = np.log2(1.0 + engine.sinr_of_distance(stats.serving_distance))
-        else:
-            rate = stats.rate
+            rate = np.log2(1.0 + engine.sinr_of_distance(serving))
         if traffic_mode == "sampled":
             rho = s.traffic.sample_with(rng, size=len(rate))
         else:

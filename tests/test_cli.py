@@ -223,6 +223,10 @@ def test_compare_writes_report(cfg_file, tmp_path):
     assert jensen["jensen_direction"] is True
     coverage = [i for i in report if i["quantity"] == "coverage-efficiency"][0]
     assert coverage["verdict"].startswith("disagree")
+    # interference and coverage score every realization; EE may skip some
+    assert [item["realizations_requested"] for item in report] == [40, 40, 40]
+    assert report[0]["realizations_used"] == report[2]["realizations_used"] == 40
+    assert 2 <= report[1]["realizations_used"] <= 40
 
 
 def test_gnuplot_script_emitted(cfg_file, tmp_path):

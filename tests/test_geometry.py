@@ -3,7 +3,7 @@ import pytest
 
 from greencell import geometry
 from greencell.errors import NoActiveBaseStations, ParameterError
-from greencell.geometry import MarkedPointSet, Window
+from greencell.geometry import Window
 from greencell.hcpp import HcppParams, zeta1, zeta2
 
 
@@ -51,37 +51,33 @@ def test_sample_ppp_positions_in_region():
     assert np.all(np.abs(pts) <= w.sampling_half_width)
 
 
-def test_assign_marks_empty():
-    m = geometry.assign_marks(np.zeros((0, 2)), seed=1)
-    assert len(m) == 0
-
-
-def test_assign_marks_range_and_mean():
-    pts = np.zeros((10**6, 2))
-    m = geometry.assign_marks(pts, seed=5)
-    assert np.all((m.marks >= 0) & (m.marks <= 1))
-    assert abs(m.marks.mean() - 0.5) < 0.0015
+def _marks(points, seed):
+    """Independent Uniform[0,1] marks, one per point."""
+    return np.random.default_rng(seed).uniform(size=len(points))
 
 
 def test_matern_delta_zero_identity():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    marked = MarkedPointSet(pts, np.array([0.5, 0.1, 0.9]))
-    out = geometry.matern_ii_thin(marked, 0.0)
+    out = geometry.matern_ii_thin(pts, np.array([0.5, 0.1, 0.9]), 0.0)
     assert np.array_equal(out, pts)
+
+
+def test_matern_marks_must_match_points():
+    pts = np.array([[0.0, 0.0], [100.0, 0.0]])
+    with pytest.raises(ParameterError):
+        geometry.matern_ii_thin(pts, np.array([0.9]), 200.0)
 
 
 def test_matern_two_point_conflict():
     pts = np.array([[0.0, 0.0], [100.0, 0.0]])
-    marked = MarkedPointSet(pts, np.array([0.9, 0.2]))
-    out = geometry.matern_ii_thin(marked, 200.0)
+    out = geometry.matern_ii_thin(pts, np.array([0.9, 0.2]), 200.0)
     assert len(out) == 1
     assert np.array_equal(out[0], pts[0])
 
 
 def test_matern_tie_break_deterministic():
     pts = np.array([[0.0, 0.0], [50.0, 0.0]])
-    marked = MarkedPointSet(pts, np.array([0.5, 0.5]))
-    out = geometry.matern_ii_thin(marked, 100.0)
+    out = geometry.matern_ii_thin(pts, np.array([0.5, 0.5]), 100.0)
     # equal marks: the later index wins under the (mark, index) order
     assert len(out) == 1
     assert np.array_equal(out[0], pts[1])
@@ -91,8 +87,7 @@ def test_matern_hard_core_and_subset():
     w = Window(1000.0, 300.0)
     for seed in range(10):
         pts = geometry.sample_ppp(1e-4, w, seed=seed)
-        marked = geometry.assign_marks(pts, seed=seed + 1000)
-        out = geometry.matern_ii_thin(marked, 200.0)
+        out = geometry.matern_ii_thin(pts, _marks(pts, seed + 1000), 200.0)
         assert geometry.min_pairwise_distance(out) >= 200.0
         as_set = {tuple(p) for p in pts}
         assert all(tuple(p) in as_set for p in out)
@@ -101,9 +96,9 @@ def test_matern_hard_core_and_subset():
 def test_matern_monotone_in_delta():
     w = Window(1000.0, 300.0)
     pts = geometry.sample_ppp(1e-4, w, seed=3)
-    marked = geometry.assign_marks(pts, seed=4)
-    n_small = len(geometry.matern_ii_thin(marked, 100.0))
-    n_large = len(geometry.matern_ii_thin(marked, 300.0))
+    marks = _marks(pts, 4)
+    n_small = len(geometry.matern_ii_thin(pts, marks, 100.0))
+    n_large = len(geometry.matern_ii_thin(pts, marks, 300.0))
     assert n_large <= n_small
 
 
@@ -114,12 +109,11 @@ def test_matern_guard_independence():
     w_small = Window(800.0, delta)
     w_big = Window(800.0, 3.0 * delta)
     pts = geometry.sample_ppp(1e-4, w_big, seed=12)
-    marked = geometry.assign_marks(pts, seed=13)
-    out_big = geometry.matern_ii_thin(marked, delta)
+    marks = _marks(pts, 13)
+    out_big = geometry.matern_ii_thin(pts, marks, delta)
 
     inside_small = (np.abs(pts) <= w_small.sampling_half_width).all(axis=1)
-    sub = MarkedPointSet(pts[inside_small], marked.marks[inside_small])
-    out_small = geometry.matern_ii_thin(sub, delta)
+    out_small = geometry.matern_ii_thin(pts[inside_small], marks[inside_small], delta)
 
     inner_big = {tuple(p) for p in out_big[geometry.in_measurement_region(out_big, w_small)]}
     inner_small = {tuple(p) for p in out_small[geometry.in_measurement_region(out_small, w_small)]}
@@ -166,6 +160,19 @@ def test_pair_correlation_empty():
     assert np.all(est.density == 0)
 
 
+def test_pair_correlation_counts_match_brute_force():
+    w = Window(600.0, 200.0)
+    pts = geometry.sample_ppp(2e-4, w, seed=8)
+    est = geometry.empirical_pair_correlation(pts, w, 50.0, 300.0)
+    inner = min(w.half_width, w.sampling_half_width - 300.0)
+    centers = pts[(np.abs(pts) <= inner).all(axis=1)]
+    d = np.sqrt(((centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    edges = np.arange(0.0, 350.0, 50.0)
+    expected, _ = np.histogram(d[d > 0], bins=edges)
+    assert est.n_centers == len(centers)
+    assert np.array_equal(est.pair_counts, expected)
+
+
 def test_pair_correlation_ppp_flat():
     w = Window(2000.0, 0.0)
     lam = 2e-4
@@ -186,7 +193,7 @@ def test_pair_correlation_matern():
     n_real = 60
     for seed in range(n_real):
         pts = geometry.sample_ppp(params.lambda_b, w, seed=seed)
-        active = geometry.matern_ii_thin(geometry.assign_marks(pts, seed=seed + 10**6), params.delta)
+        active = geometry.matern_ii_thin(pts, _marks(pts, seed + 10**6), params.delta)
         est = geometry.empirical_pair_correlation(active, w, 100.0, 600.0)
         acc = est.density if acc is None else acc + est.density
     mean = acc / n_real

@@ -42,10 +42,10 @@ def test_sample_active_strategies(scenario):
     assert len(ppp) > len(active)
 
 
-def _realization(scenario, engine, master_seed, index, **kwargs):
+def _realization(scenario, engine, master_seed, index):
     rng = mc.child_rng(master_seed, index)
     active = mc.sample_active(scenario, WINDOW, rng)
-    return mc.run_realization(engine, WINDOW, active, rng, **kwargs)
+    return mc.run_realization(engine, WINDOW, active, rng)
 
 
 def test_mc_estimate_needs_two_values():
@@ -54,36 +54,38 @@ def test_mc_estimate_needs_two_values():
 
 
 def test_run_realization_invariants(scenario, engine):
-    stats = _realization(scenario, engine, 2, 0)
-    assert stats.active_count > 0
-    assert np.all(stats.sinr > 0)
-    assert stats.rate == pytest.approx(np.log2(1.0 + stats.sinr), rel=1e-12)
-    assert np.all(stats.bs_tx_power > 0)
-    assert np.all(stats.serving_distance > 0)
+    rate, power = _realization(scenario, engine, 2, 0)
+    assert len(rate) == max(int(round(engine.k_ue)), 1)
+    assert np.all(rate > 0)
+    assert len(power) == mc.POWER_STATIONS
+    assert np.all(power > 0)
+    rng = mc.child_rng(2, 0)
+    active = mc.sample_active(scenario, WINDOW, rng)
+    serving, ce_rate = mc._typical_users(engine, WINDOW, active, rng, mc.CE_USERS)
+    assert len(serving) == len(ce_rate) == mc.CE_USERS
+    assert np.all(serving > 0)
+    assert np.all(ce_rate > 0)
 
 
 def test_run_realization_deterministic(scenario, engine):
     a = _realization(scenario, engine, 3, 1)
     b = _realization(scenario, engine, 3, 1)
-    assert np.array_equal(a.rate, b.rate)
-    assert np.array_equal(a.bs_tx_power, b.bs_tx_power)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
-def test_run_realization_interference_next_to_server(scenario, engine):
+def test_run_realization_interference_next_to_server(scenario):
     """A user 1 m from its server, every other station >= 300 m away: the
-    interference is the direct sum of the others' gains (omega == 1 at
+    summed gain of the other stations is their direct sum (omega == 1 at
     sigma_s = 0), not the total minus the dominant own term, which cancels."""
     others = np.array([[300.0, 0.0], [0.0, -400.0], [-500.0, 350.0], [420.0, 610.0]])
-    rng = mc.child_rng(4, 0)
-    # the users are the first draw from the stream: read it from a copy
-    ue = copy.deepcopy(rng).uniform(-WINDOW.half_width, WINDOW.half_width, size=(1, 2))[0]
+    ue = np.array([[-730.0, 215.0]])
     stations = np.vstack([ue + [1.0, 0.0], ue + others])
-    stats = mc.run_realization(engine, WINDOW, stations, rng, n_ue=1, n_power_bs=0)
+    serving, _, other = mc._received_power(stations, ue, None, mc.child_rng(4, 0), scenario)
     d = np.sqrt(((stations - ue) ** 2).sum(axis=1))
-    assert stats.serving_distance[0] == pytest.approx(1.0, rel=1e-9)
-    radio = scenario.radio
-    expected = float(radio.antennas_m) ** 2 * radio.p_f * radio.p_p * (d[1:] ** (-2.0 * radio.alpha)).sum()
-    assert stats.interference[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert serving[0] == pytest.approx(1.0, rel=1e-9)
+    expected = (d[1:] ** (-2.0 * scenario.radio.alpha)).sum()
+    assert other[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_station_power_matches_direct_sum():
@@ -95,14 +97,13 @@ def test_station_power_matches_direct_sum():
     scenario = Scenario(PARAMS, shadowing=ShadowingModel(6.0, "db-std"))
     engine = AnalyticEngine(scenario)
     layout = np.array([[0.0, 0.0], [260.0, 40.0], [-180.0, 230.0], [90.0, -310.0], [-400.0, -150.0]])
-    n_ue = 2
     rng = mc.child_rng(6, 0)
     replay = copy.deepcopy(rng)
-    stats = mc.run_realization(engine, WINDOW, layout, rng, n_ue=n_ue)
+    _, power = mc.run_realization(engine, WINDOW, layout, rng)
 
     n, k = len(layout), max(int(round(engine.k_ue)), 1)
-    replay.uniform(-WINDOW.half_width, WINDOW.half_width, size=(n_ue, 2))  # typical users
-    scenario.shadowing.sample_with(replay, size=(n_ue, n))  # their gains
+    replay.uniform(-WINDOW.half_width, WINDOW.half_width, size=(k, 2))  # k typical users
+    scenario.shadowing.sample_with(replay, size=(k, n))  # their gains
     radii = mc._sample_offsets(engine.nearest_model, replay, size=(n, k))
     angles = replay.uniform(0.0, 2.0 * np.pi, size=(n, k))
     omega_mean = scenario.shadowing.moment(1)
@@ -123,7 +124,7 @@ def test_station_power_matches_direct_sum():
                     excluded += 1
         expected.append(radio.antennas_m * radio.p_p * omega_mean * total)
     assert excluded > 0  # the layout exercises the association rule
-    assert stats.bs_tx_power == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert power == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_interference_matches_analytic(scenario, engine):
@@ -171,9 +172,9 @@ def test_shared_realizations_match_single_estimators(monkeypatch):
 def test_tx_power_matches_analytic(scenario, engine):
     powers = []
     for k in range(150):
-        st = _realization(scenario, engine, 3, k)
-        if len(st.bs_tx_power):
-            powers.append(st.bs_tx_power.mean())
+        _, power = _realization(scenario, engine, 3, k)
+        if len(power):
+            powers.append(power.mean())
     powers = np.asarray(powers)
     se = powers.std(ddof=1) / np.sqrt(len(powers))
     # the analytic value models per-cell user offsets through an approximate

@@ -1,6 +1,6 @@
 """The benchmark's traced mode wraps the names in ``perfbench/child.py``'s
 ``LAYERS`` with ``vars(owner)[attr]`` and reads each estimator's realization
-count by position.  A rename or a moved ``n`` here would crash a traced run;
+count, and the thinning's point count, by position.  A rename or a moved ``n`` here would crash a traced run;
 this test makes it fail in the test suite instead."""
 import importlib
 import importlib.util
@@ -8,6 +8,7 @@ import inspect
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -41,3 +42,11 @@ def test_estimate_counters_read_n(child, name):
     # the counter reports whatever sits at its position: give each position its index
     counters = count(tuple(range(len(params))), {}, SimpleNamespace(realization_count=0))
     assert counters["realizations_requested"] == params.index("n")
+
+
+def test_thin_counter_offers_the_point_count(child):
+    (count,) = [c for module, path, _, c in child.LAYERS if (module, path) == ("geometry", "matern_ii_thin")]
+    points = np.array([[0.0, 0.0], [100.0, 0.0], [500.0, 0.0]])
+    args = (points, np.array([0.9, 0.2, 0.5]), 200.0)
+    counters = count(args, {}, _resolve("geometry", "matern_ii_thin")(*args))
+    assert counters == {"offered": 3, "retained": 2}
