@@ -8,7 +8,6 @@ from .config import RunConfig, parse_config, serialize_config, to_scenario, to_w
 from .errors import (
     InterferenceDivergenceError,
     MonotonicityError,
-    NoActiveBaseStations,
     NormalizationFitError,
     ParameterError,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "InterferenceDivergenceError",
     "MonotonicityError",
     "NearestPdfModel",
-    "NoActiveBaseStations",
     "NormalizationFitError",
     "ParameterError",
     "RadioParams",

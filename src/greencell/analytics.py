@@ -357,37 +357,14 @@ class AnalyticEngine:
             raise MonotonicityError("SINR inversion failed to polish")
         return InversionResult(float(np.exp(x)), clipped=False)
 
-    def _sinr_slope(self, r):
-        """d(SINR)/dr at the radii ``r`` in one kernel call, by central finite
-        difference with step h = 1e-5 r: within 1e-8 relative away from the
-        radii ``KINKS`` * delta."""
-        h = 1e-5 * np.asarray(r, float)
-        lo, hi = self.sinr_of_distance(np.ravel([r - h, r + h])).reshape(2, *h.shape)
-        return (hi - lo) / (2.0 * h)
-
-    def coverage_efficiency(self, rho: float, method: str = "cdf") -> float:
-        """Probability that the mean-interference rate exceeds ``rho``.
-
-        ``method``: 'cdf' (default) integrates the serving-distance PDF up to
-        the threshold distance; 'change-of-variables', an independent reference
-        for the first, integrates gamma f(r(gamma)) / |dgamma/dr| over log gamma
-        with r(gamma) from ``invert_sinr``, on one smooth 32-node panel between
-        each pair of the threshold, the SINRs at ``KINKS`` * delta and the
-        grid's near end.  Both return the grid-end coverage for a threshold beyond it."""
+    def coverage_efficiency(self, rho: float) -> float:
+        """Probability that the mean-interference rate exceeds ``rho``: the
+        serving-distance CDF at the distance where the SINR falls to the
+        threshold, which clips to the grid's ends for a threshold beyond them."""
         if rho < 0:
             raise ParameterError("rho must be >= 0")
-        if method not in ("cdf", "change-of-variables"):
-            raise ParameterError("method must be 'cdf' or 'change-of-variables'")
         gamma_t = float(2.0**rho - 1.0) if rho < 1024 else np.inf  # 2.0**1024 overflows
-        r_star, clipped = self.invert_sinr(gamma_t)
-        if method == "cdf" or clipped:
-            return min(float(self.nearest_model.cdf(r_star)), 1.0)
-        kinks = [k for k in self._hard_core * np.array(self.KINKS) if self.R_GRID_LO < k < r_star]
-        edges = np.log([gamma_t, *self.sinr_of_distance(np.array(kinks)), self._sinr_grid[1][0]])
-        x, w = _panelize(np.unique(edges), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
-        r = np.array([self.invert_sinr(g).r for g in np.exp(x).tolist()])
-        val = (w * np.exp(x) * self.nearest_model.pdf(r) / np.abs(self._sinr_slope(r))).sum()
-        return min(float(val) + self.nearest_model.cdf(self.R_GRID_LO), 1.0)
+        return min(float(self.nearest_model.cdf(self.invert_sinr(gamma_t).r)), 1.0)
 
     def coverage_efficiency_traffic(self, mode: str = "at-mean") -> float:
         """Coverage at the mean demand, or marginalized over the demand law by

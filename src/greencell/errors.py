@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A supplied parameter violates its documented range."""
 
 
-class NoActiveBaseStations(RuntimeError):
-    """A point set that must be non-empty (e.g. for association) is empty."""
-
-
 class InterferenceDivergenceError(ArithmeticError):
     """The interference integral is non-integrable for this configuration.
 

@@ -1,4 +1,4 @@
-"""Spatial point-process sampling, thinning and empirical statistics.
+"""Spatial point-process sampling and thinning.
 
 All operations work on a finite square window with a guard margin: points
 are sampled on the larger (guarded) square, while measurements are taken
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NoActiveBaseStations, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -105,70 +105,3 @@ def in_measurement_region(points: np.ndarray, window: Window) -> np.ndarray:
     if len(pts) == 0:
         return np.zeros(0, dtype=bool)
     return (np.abs(pts) <= window.half_width).all(axis=1)
-
-
-def nearest_distance(origin, points: np.ndarray) -> float:
-    """Euclidean distance from ``origin`` to the closest point of the set."""
-    pts = np.asarray(points, float)
-    if len(pts) == 0:
-        raise NoActiveBaseStations("no points: nearest distance undefined")
-    d = pts - np.asarray(origin, float)
-    return float(np.sqrt((d * d).sum(axis=1)).min())
-
-
-def min_pairwise_distance(points: np.ndarray) -> float:
-    """Smallest inter-point distance; inf for fewer than two points."""
-    pts = np.asarray(points, float)
-    if len(pts) < 2:
-        return np.inf
-    d, _ = cKDTree(pts).query(pts, k=2)
-    return float(d[:, 1].min())
-
-
-@dataclass(frozen=True)
-class PairCorrelationEstimate:
-    """Binned estimate of the second-order product density (units m^-4)."""
-
-    r: np.ndarray
-    density: np.ndarray
-    pair_counts: np.ndarray
-    n_centers: int
-    empty: bool
-
-
-def empirical_pair_correlation(
-    points: np.ndarray, window: Window, bin_width: float, r_max: float
-) -> PairCorrelationEstimate:
-    """Unbiased binned estimator of the second-order product density.
-
-    Border effects are handled by minus sampling: only points whose full
-    ``r_max`` neighbourhood lies inside the sampling region act as pair
-    centers; partners may come from anywhere in the sampling region.
-    """
-    if bin_width <= 0:
-        raise ParameterError(f"bin_width must be > 0, got {bin_width}")
-    if r_max > window.half_width:
-        raise ParameterError("r_max must not exceed the window half_width")
-    edges = np.arange(0.0, r_max + bin_width, bin_width)
-    edges = edges[edges <= r_max + 1e-9]
-    centers_r = 0.5 * (edges[:-1] + edges[1:])
-    pts = np.asarray(points, float)
-    if len(pts) == 0:
-        z = np.zeros(len(centers_r))
-        return PairCorrelationEstimate(centers_r, z, z.astype(int), 0, empty=True)
-
-    inner = min(window.half_width, window.sampling_half_width - r_max)
-    is_center = (np.abs(pts) <= inner).all(axis=1)
-    centers = pts[is_center]
-    n_centers = len(centers)
-    if n_centers == 0:
-        z = np.zeros(len(centers_r))
-        return PairCorrelationEstimate(centers_r, z, z.astype(int), 0, empty=True)
-
-    # cumulative (center, point) pairs within each edge; the differences drop
-    # each center's pair with itself, at distance 0 <= edges[0]
-    counts = np.diff(cKDTree(centers).count_neighbors(cKDTree(pts), edges))
-    annulus = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
-    center_area = (2.0 * inner) ** 2
-    density = counts / (center_area * annulus)
-    return PairCorrelationEstimate(centers_r, density, counts, n_centers, empty=False)

@@ -81,15 +81,21 @@ def _sample_offsets(model, rng: np.random.Generator, size) -> np.ndarray:
     return np.interp(rng.uniform(size=size), cdf, r)
 
 
+def _sq_distances(stations, users) -> np.ndarray:
+    """Squared distances from every user (rows) to every station (columns)."""
+    d2 = (stations[None, :, 0] - users[:, None, 0]) ** 2
+    d2 += (stations[None, :, 1] - users[:, None, 1]) ** 2
+    return d2
+
+
 def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min: float = 0.0):
     """Shadowed gains omega^2 d^(-2 alpha) from every station to every user,
     zero from stations closer than ``r_min``; with ``rng`` None, omega^2 is
-    its expectation, ``moment(2)``.  Returns each user's serving distance,
-    its server's gain (the nearest station's when ``serving_idx`` is None)
-    and the summed gain of the other stations.  The server's column is
-    zeroed, not subtracted from the total, which cancels when it dominates."""
-    d2 = (stations[None, :, 0] - users[:, None, 0]) ** 2
-    d2 += (stations[None, :, 1] - users[:, None, 1]) ** 2
+    its expectation, ``moment(2)``.  Returns each user's server's gain (the
+    nearest station's when ``serving_idx`` is None) and the summed gain of
+    the other stations.  The server's column is zeroed, not subtracted from
+    the total, which cancels when it dominates."""
+    d2 = _sq_distances(stations, users)
     rows = np.arange(len(users))
     if serving_idx is None:
         serving_idx = d2.argmin(axis=1)
@@ -100,19 +106,19 @@ def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min
     gain = np.where(d2 >= r_min**2, omega2 * d2 ** (-scenario.radio.alpha), 0.0)
     own = gain[rows, serving_idx]
     gain[rows, serving_idx] = 0.0
-    return np.sqrt(d2[rows, serving_idx]), own, gain.sum(axis=1)
+    return own, gain.sum(axis=1)
 
 
 def _typical_users(engine: AnalyticEngine, window: Window, active: np.ndarray, rng, n_ue: int):
-    """Serving distances and rates (bits/s/Hz) of ``n_ue`` typical users
-    dropped uniformly in the measurement region, drawing their positions
-    and shadowing from ``rng``.  Each associates with its nearest station
-    of the non-empty ``active``; every other active station interferes."""
+    """Rates (bits/s/Hz) of ``n_ue`` typical users dropped uniformly in the
+    measurement region, drawing their positions and shadowing from ``rng``.
+    Each associates with its nearest station of the non-empty ``active``;
+    every other active station interferes."""
     s = engine.scenario
     gain = float(s.radio.antennas_m) ** 2 * (s.radio.p_f * s.radio.p_p)
     ue = rng.uniform(-window.half_width, window.half_width, size=(n_ue, 2))
-    serving, own, other = _received_power(active, ue, None, rng, s)
-    return serving, np.log2(1.0 + gain * own / (gain * other + s.radio.noise_power))
+    own, other = _received_power(active, ue, None, rng, s)
+    return np.log2(1.0 + gain * own / (gain * other + s.radio.noise_power))
 
 
 def run_realization(engine: AnalyticEngine, window: Window, active: np.ndarray, rng: np.random.Generator):
@@ -131,7 +137,7 @@ def run_realization(engine: AnalyticEngine, window: Window, active: np.ndarray, 
     """
     s = engine.scenario
     k_int = max(int(round(engine.k_ue)), 1)
-    _, rate = _typical_users(engine, window, active, rng, k_int)
+    rate = _typical_users(engine, window, active, rng, k_int)
     sample_idx = np.flatnonzero(geometry.in_measurement_region(active, window))[:POWER_STATIONS]
     if len(sample_idx) == 0 or len(active) < 2:
         return rate, np.zeros(0)
@@ -179,9 +185,9 @@ def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int,
 def _probe_users(window: Window, active: np.ndarray, r_int: float, rng):
     """Probe users placed ``r_int`` from every active station in the
     measurement region, at a uniform angle, with their hosts' indices;
-    ``None`` when the realization has no host or no interferer."""
+    ``None`` when the realization has no host."""
     hosts = np.flatnonzero(geometry.in_measurement_region(active, window))
-    if len(hosts) == 0 or len(active) < 2:
+    if len(hosts) == 0:
         return None
     theta = rng.uniform(0.0, 2.0 * np.pi, size=len(hosts))
     return active[hosts] + r_int * np.stack([np.cos(theta), np.sin(theta)], axis=1), hosts
@@ -192,7 +198,8 @@ def interference_estimator(engine: AnalyticEngine, window: Window, r_int: float)
     active station in the measurement region hosts a probe user at distance
     ``r_int``; interferers closer than the server are never present under
     nearest-station association, so none are counted.  The mean is linear
-    in omega^2, so each gain takes ``moment(2)`` in place of a draw."""
+    in omega^2, so each gain takes ``moment(2)`` in place of a draw.
+    Realizations with no host are skipped; a lone host scores 0."""
     if r_int <= 0:
         raise ParameterError("r_int must be > 0")
     s = engine.scenario
@@ -207,8 +214,8 @@ def interference_estimator(engine: AnalyticEngine, window: Window, r_int: float)
     def measure(active, rng):
         probes = _probe_users(window, active, r_int, rng)
         if probes is None:
-            return 0.0
-        return m2 * pfpp * float(_received_power(active, *probes, None, s, r_min=r_int)[2].mean())
+            return None
+        return m2 * pfpp * float(_received_power(active, *probes, None, s, r_min=r_int)[1].mean())
 
     def reduce(means):
         est = _mc_estimate(means)
@@ -223,28 +230,6 @@ def estimate_interference(engine, window, r_int, n, master_seed) -> McEstimate:
     """``interference_estimator`` over ``n`` realizations."""
     est = interference_estimator(engine, window, r_int)
     return run_estimators(engine.scenario, window, n, master_seed, [est])[0]
-
-
-def estimate_rate_at_distance(
-    scenario: Scenario, window: Window, r_int: float, n: int, master_seed: int
-) -> McEstimate:
-    """Mean achievable rate at fixed serving distance, with realized
-    (instantaneous) interference and shadowing; the analytic bound must sit
-    below this."""
-    s = scenario
-    m2 = float(s.radio.antennas_m) ** 2
-    pfpp = s.radio.p_f * s.radio.p_p
-
-    def measure(active, rng):
-        probes = _probe_users(window, active, r_int, rng)
-        if probes is None:
-            return None
-        interference = m2 * pfpp * _received_power(active, *probes, rng, s, r_min=r_int)[2]
-        omega0 = s.shadowing.sample_with(rng, size=len(interference))
-        signal = m2 * pfpp * omega0**2 * r_int ** (-2.0 * s.radio.alpha)
-        return float(np.log2(1.0 + signal / (interference + s.radio.noise_power)).mean())
-
-    return run_estimators(s, window, n, master_seed, [(measure, _mc_estimate)])[0]
 
 
 def ee_estimator(engine: AnalyticEngine, window: Window):
@@ -284,7 +269,8 @@ def ce_estimator(
 
     ``sinr_mode='mean-interference'`` replaces the realized interference by
     the analytic average at the realized serving distance, matching the
-    approximation the closed-form coverage expression rests on.
+    approximation the closed-form coverage expression rests on; it draws
+    the users' positions and no shadowing.
     """
     if traffic_mode not in ("at-mean", "sampled"):
         raise ParameterError("traffic_mode must be 'at-mean' or 'sampled'")
@@ -295,9 +281,11 @@ def ce_estimator(
     def measure(active, rng):
         if len(active) == 0:
             return 0.0
-        serving, rate = _typical_users(engine, window, active, rng, CE_USERS)
-        if sinr_mode == "mean-interference":
-            rate = np.log2(1.0 + engine.sinr_of_distance(serving))
+        if sinr_mode == "instantaneous":
+            rate = _typical_users(engine, window, active, rng, CE_USERS)
+        else:
+            ue = rng.uniform(-window.half_width, window.half_width, size=(CE_USERS, 2))
+            rate = np.log2(1.0 + engine.sinr_of_distance(np.sqrt(_sq_distances(active, ue).min(axis=1))))
         if traffic_mode == "sampled":
             rho = s.traffic.sample_with(rng, size=len(rate))
         else:

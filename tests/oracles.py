@@ -1,0 +1,128 @@
+"""Independent references the tests check the package against; no command
+runs them.  Each is a second route to a quantity the package computes, or a
+direct statistic of a sampled point set."""
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from greencell import mc
+from greencell.errors import ParameterError
+from greencell.geometry import Window
+from greencell.quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize
+
+
+def nearest_distance(origin, points: np.ndarray) -> float:
+    """Euclidean distance from ``origin`` to the closest point of the set;
+    ``ValueError`` for an empty set."""
+    pts = np.asarray(points, float)
+    d = pts - np.asarray(origin, float)
+    return float(np.sqrt((d * d).sum(axis=1)).min())
+
+
+def min_pairwise_distance(points: np.ndarray) -> float:
+    """Smallest inter-point distance; inf for fewer than two points."""
+    pts = np.asarray(points, float)
+    if len(pts) < 2:
+        return np.inf
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return float(d[:, 1].min())
+
+
+@dataclass(frozen=True)
+class PairCorrelationEstimate:
+    """Binned estimate of the second-order product density (units m^-4)."""
+
+    r: np.ndarray
+    density: np.ndarray
+    pair_counts: np.ndarray
+    n_centers: int
+    empty: bool
+
+
+def empirical_pair_correlation(
+    points: np.ndarray, window: Window, bin_width: float, r_max: float
+) -> PairCorrelationEstimate:
+    """Unbiased binned estimator of the second-order product density.
+
+    Border effects are handled by minus sampling: only points whose full
+    ``r_max`` neighbourhood lies inside the sampling region act as pair
+    centers; partners may come from anywhere in the sampling region.
+    """
+    if bin_width <= 0:
+        raise ParameterError(f"bin_width must be > 0, got {bin_width}")
+    if r_max > window.half_width:
+        raise ParameterError("r_max must not exceed the window half_width")
+    edges = np.arange(0.0, r_max + bin_width, bin_width)
+    edges = edges[edges <= r_max + 1e-9]
+    centers_r = 0.5 * (edges[:-1] + edges[1:])
+    pts = np.asarray(points, float)
+    if len(pts) == 0:
+        z = np.zeros(len(centers_r))
+        return PairCorrelationEstimate(centers_r, z, z.astype(int), 0, empty=True)
+
+    inner = min(window.half_width, window.sampling_half_width - r_max)
+    is_center = (np.abs(pts) <= inner).all(axis=1)
+    centers = pts[is_center]
+    n_centers = len(centers)
+    if n_centers == 0:
+        z = np.zeros(len(centers_r))
+        return PairCorrelationEstimate(centers_r, z, z.astype(int), 0, empty=True)
+
+    # cumulative (center, point) pairs within each edge; the differences drop
+    # each center's pair with itself, at distance 0 <= edges[0]
+    counts = np.diff(cKDTree(centers).count_neighbors(cKDTree(pts), edges))
+    annulus = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
+    center_area = (2.0 * inner) ** 2
+    density = counts / (center_area * annulus)
+    return PairCorrelationEstimate(centers_r, density, counts, n_centers, empty=False)
+
+
+def estimate_rate_at_distance(scenario, window: Window, r_int: float, n: int, master_seed: int) -> mc.McEstimate:
+    """Mean achievable rate at fixed serving distance, with realized
+    (instantaneous) interference and shadowing; the analytic bound must sit
+    below this.  Realizations with no probe host or no interferer are skipped."""
+    s = scenario
+    m2 = float(s.radio.antennas_m) ** 2
+    pfpp = s.radio.p_f * s.radio.p_p
+
+    def measure(active, rng):
+        probes = mc._probe_users(window, active, r_int, rng)
+        if probes is None or len(active) < 2:
+            return None
+        interference = m2 * pfpp * mc._received_power(active, *probes, rng, s, r_min=r_int)[1]
+        omega0 = s.shadowing.sample_with(rng, size=len(interference))
+        signal = m2 * pfpp * omega0**2 * r_int ** (-2.0 * s.radio.alpha)
+        return float(np.log2(1.0 + signal / (interference + s.radio.noise_power)).mean())
+
+    return mc.run_estimators(s, window, n, master_seed, [(measure, mc._mc_estimate)])[0]
+
+
+def sinr_slope(engine, r):
+    """d(SINR)/dr at the radii ``r`` in one kernel call, by central finite
+    difference with step h = 1e-5 r: within 1e-8 relative away from the
+    radii ``KINKS`` * delta."""
+    h = 1e-5 * np.asarray(r, float)
+    lo, hi = engine.sinr_of_distance(np.ravel([r - h, r + h])).reshape(2, *h.shape)
+    return (hi - lo) / (2.0 * h)
+
+
+def coverage_change_of_variables(engine, rho: float) -> float:
+    """Probability that the mean-interference rate exceeds ``rho``, as an
+    independent reference for ``AnalyticEngine.coverage_efficiency``: the
+    integral of gamma f(r(gamma)) / |dgamma/dr| over log gamma with r(gamma)
+    from ``invert_sinr``, on one smooth 32-node panel between each pair of
+    the threshold, the SINRs at ``KINKS`` * delta and the grid's near end.
+    Returns the grid-end coverage for a threshold beyond it."""
+    if rho < 0:
+        raise ParameterError("rho must be >= 0")
+    gamma_t = float(2.0**rho - 1.0) if rho < 1024 else np.inf  # 2.0**1024 overflows
+    r_star, clipped = engine.invert_sinr(gamma_t)
+    if clipped:
+        return min(float(engine.nearest_model.cdf(r_star)), 1.0)
+    kinks = [k for k in engine._hard_core * np.array(engine.KINKS) if engine.R_GRID_LO < k < r_star]
+    edges = np.log([gamma_t, *engine.sinr_of_distance(np.array(kinks)), engine._sinr_grid[1][0]])
+    x, w = _panelize(np.unique(edges), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
+    r = np.array([engine.invert_sinr(g).r for g in np.exp(x).tolist()])
+    val = (w * np.exp(x) * engine.nearest_model.pdf(r) / np.abs(sinr_slope(engine, r))).sum()
+    return min(float(val) + engine.nearest_model.cdf(engine.R_GRID_LO), 1.0)

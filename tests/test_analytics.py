@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from greencell import analytics
@@ -409,16 +410,16 @@ def test_non_monotone_sinr_raises_on_grid(monkeypatch):
 
 def test_coverage_paths_agree(matern_engine):
     for rho in (0.5, 1.5, 3.0, 6.0):
-        a = matern_engine.coverage_efficiency(rho, method="cdf")
-        b = matern_engine.coverage_efficiency(rho, method="change-of-variables")
+        a = matern_engine.coverage_efficiency(rho)
+        b = oracles.coverage_change_of_variables(matern_engine, rho)
         assert abs(a - b) <= 1e-6
         assert 0.0 <= a <= 1.0
 
 
 def test_coverage_monotone_in_threshold(matern_engine):
-    vals = [matern_engine.coverage_efficiency(rho, method="cdf") for rho in (0.5, 1.5, 3.0, 6.0)]
+    vals = [matern_engine.coverage_efficiency(rho) for rho in (0.5, 1.5, 3.0, 6.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    assert matern_engine.coverage_efficiency(0.0, method="cdf") > 0.999
+    assert matern_engine.coverage_efficiency(0.0) > 0.999
     with pytest.raises(ParameterError):
         matern_engine.coverage_efficiency(-1.0)
 
@@ -428,7 +429,7 @@ def test_coverage_antenna_invariance_bit_exact():
     for m in (64, 128, 256):
         radio = RadioParams(antennas_m=m, noise_power=0.0)
         eng = AnalyticEngine(Scenario(PARAMS, radio=radio, shadowing=ShadowingModel(0.0)))
-        vals.append(eng.coverage_efficiency(3.0, method="cdf"))
+        vals.append(eng.coverage_efficiency(3.0))
     assert vals[0] == vals[1] == vals[2]
 
 
@@ -445,8 +446,8 @@ def test_coverage_beyond_float_range_is_clipped(matern_engine):
     # 2**rho overflows a double from rho = 1024 on; the threshold is then
     # above every grid SINR, which clips to the grid's near end
     want = matern_engine.nearest_model.cdf(AnalyticEngine.R_GRID_LO)
-    assert matern_engine.coverage_efficiency(2000.0, method="cdf") == want
-    assert matern_engine.coverage_efficiency(2000.0, method="change-of-variables") == want
+    assert matern_engine.coverage_efficiency(2000.0) == want
+    assert oracles.coverage_change_of_variables(matern_engine, 2000.0) == want
 
 
 def marginalized_oracle(eng):
@@ -462,7 +463,7 @@ def marginalized_oracle(eng):
     pts = sorted(t.ccdf(x) for x in np.log2(1.0 + np.array(gamma)) if x > t.rho_min)
 
     def cov(v):
-        return eng.coverage_efficiency(t.rho_min * v ** (-1.0 / t.theta), method="cdf")
+        return eng.coverage_efficiency(t.rho_min * v ** (-1.0 / t.theta))
 
     val, _ = quad(cov, 0.0, 1.0, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-12)
     return val
@@ -525,7 +526,7 @@ def test_change_of_variables_cost(monkeypatch, strategy, bound):
 
     monkeypatch.setattr(AnalyticEngine, "interference_base", counted_kernel)
     rho = eng.scenario.traffic.mean()
-    assert 0.0 < eng.coverage_efficiency(rho, method="change-of-variables") < 1.0
+    assert 0.0 < oracles.coverage_change_of_variables(eng, rho) < 1.0
     assert sum(points) <= bound
 
 
@@ -572,7 +573,7 @@ def test_sinr_slope_within_budget(strategy):
     for r in (3.0, 30.0, 70.0, 125.0, 175.0, 300.0, 600.0, 1500.0, 4000.0):
         d1, d2, d4 = (central(r, 1e-3 * r / k) for k in (1, 2, 4))
         r1, r2 = (4.0 * d2 - d1) / 3.0, (4.0 * d4 - d2) / 3.0
-        assert abs(eng._sinr_slope(r) / ((16.0 * r2 - r1) / 15.0) - 1.0) <= 1e-8
+        assert abs(oracles.sinr_slope(eng, r) / ((16.0 * r2 - r1) / 15.0) - 1.0) <= 1e-8
 
 
 def test_shadowing_expectation_matches_quadrature_oracle():

