@@ -357,14 +357,17 @@ class AnalyticEngine:
             raise MonotonicityError("SINR inversion failed to polish")
         return InversionResult(float(np.exp(x)), clipped=False)
 
-    def coverage_efficiency(self, rho: float) -> float:
-        """Probability that the mean-interference rate exceeds ``rho``: the
-        serving-distance CDF at the distance where the SINR falls to the
-        threshold, which clips to the grid's ends for a threshold beyond them."""
+    def coverage_radius(self, rho: float) -> InversionResult:
+        """Distance where the mean-interference SINR falls to 2^rho - 1, inside which
+        the rate exceeds ``rho``; clipped to the grid's ends for a threshold beyond them."""
         if rho < 0:
             raise ParameterError("rho must be >= 0")
         gamma_t = float(2.0**rho - 1.0) if rho < 1024 else np.inf  # 2.0**1024 overflows
-        return min(float(self.nearest_model.cdf(self.invert_sinr(gamma_t).r)), 1.0)
+        return self.invert_sinr(gamma_t)
+
+    def coverage_efficiency(self, rho: float) -> float:
+        """P(mean-interference rate > ``rho``): the serving-distance CDF at ``coverage_radius``."""
+        return min(float(self.nearest_model.cdf(self.coverage_radius(rho).r)), 1.0)
 
     def coverage_efficiency_traffic(self, mode: str = "at-mean") -> float:
         """Coverage at the mean demand, or marginalized over the demand law by
@@ -377,7 +380,7 @@ class AnalyticEngine:
         if mode != "marginalized":
             raise ParameterError("mode must be 'at-mean' or 'marginalized'")
         near = self.coverage_efficiency(np.inf)
-        r_1 = self.invert_sinr(float(2.0**t.rho_min - 1.0) if t.rho_min < 1024 else np.inf).r
+        r_1 = self.coverage_radius(t.rho_min).r
         if r_1 <= self.R_GRID_LO:
             return near
         lo = self.R_GRID_LO

@@ -314,10 +314,11 @@ def _cmd_compare(args) -> int:
     i_ana = engine.avg_interference(args.r_int)
     ee_ana = engine.energy_efficiency()
     ce_ana = engine.coverage_efficiency_traffic("at-mean")
+    radius = engine.coverage_radius(scenario.traffic.mean())
     i_mc, ee_mc, ce_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
         mc.interference_estimator(engine, window, args.r_int),
         mc.ee_estimator(engine, window),
-        mc.ce_estimator(engine, window, sinr_mode="mean-interference"),
+        mc.serving_cdf_estimator(window, radius.r),
     ])
     jensen_ok = ee_ana <= ee_mc.mean + 3.0 * ee_mc.std_error
     report = [
@@ -330,7 +331,8 @@ def _cmd_compare(args) -> int:
             "jensen_direction": jensen_ok,
             "verdict": "lower-bound holds" if jensen_ok else "lower-bound violated",
         },
-        _agreement("coverage-efficiency", ce_ana, ce_mc),
+        {**_agreement("coverage-efficiency", ce_ana, ce_mc),
+         "coverage_radius_m": radius.r, "radius_clipped": radius.clipped},
     ]
     for item, est in zip(report, (i_mc, ee_mc, ce_mc)):
         item.update(realizations_requested=n, realizations_used=est.realization_count)

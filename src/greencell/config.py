@@ -9,17 +9,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .analytics import RANDOM_MODES, REGULARIZATIONS, STRATEGIES, Scenario
+from .analytics import RANDOM_MODES, STRATEGIES, Scenario
 from .channel import CONVENTIONS, RadioParams, ShadowingModel, TrafficModel, noise_power_from_dbm
 from .errors import ParameterError
 from .geometry import Window
 from .hcpp import HcppParams
 
 TRAFFIC_MODES = ("at-mean", "marginalized", "sampled")
-# the string keys and their allowed values
+# the string keys and their allowed values; "none" diverges in every CLI run
 _CHOICES = {
     "strategy": STRATEGIES,
-    "regularization": REGULARIZATIONS,
+    "regularization": ("exclusion-ball", "min-distance"),
     "traffic_mode": TRAFFIC_MODES,
     "shadowing_convention": CONVENTIONS,
     "random_mode": RANDOM_MODES,

@@ -40,15 +40,6 @@ class Window:
     def sampling_half_width(self) -> float:
         return self.half_width + self.guard
 
-    @property
-    def area(self) -> float:
-        """Area of the inner measurement square."""
-        return (2.0 * self.half_width) ** 2
-
-    @property
-    def sampling_area(self) -> float:
-        return (2.0 * self.sampling_half_width) ** 2
-
 
 def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
     """Homogeneous Poisson process on the sampling region, as an (n, 2) array;
@@ -57,7 +48,7 @@ def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
         raise ParameterError(f"intensity must be >= 0, got {intensity}")
     rng = np.random.default_rng(seed)
     h = window.sampling_half_width
-    n = rng.poisson(intensity * window.sampling_area)
+    n = rng.poisson(intensity * (2.0 * h) ** 2)
     return rng.uniform(-h, h, size=(n, 2))
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo engine: realized networks, empirical EE/CE and the
-finite-antenna validation of the asymptotic channel model.
+finite-antenna validation of the asymptotic channel model.  Nearest-station
+association realizes the ``exclusion-ball`` regularization, and no other.
 
 Every estimator draws its per-realization randomness from a child stream
 derived as SeedSequence([master_seed, index]), so results are bit-identical
@@ -7,6 +8,9 @@ for a given (scenario, window, master_seed, count) regardless of how the
 realizations are scheduled, or of which estimators share them.  Sums linear
 in the shadowing coefficient omega (station power, mean interference) take
 its moments in place of draws: conditional Monte Carlo, exact over omega.
+``compare``'s coverage is the serving-distance CDF at the mean demand's
+``coverage_radius``, exact because the mean-interference SINR strictly
+decreases in distance (``MonotonicityError`` otherwise).
 """
 from __future__ import annotations
 
@@ -168,6 +172,8 @@ def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int,
     draw, so its values are exactly those of running it alone; it returns
     None for a realization it skips.  ``reduce`` turns the kept values into
     the estimate; each needs at least 2 kept values."""
+    if scenario.regularization != "exclusion-ball":
+        raise ParameterError(f"regularization={scenario.regularization}: Monte Carlo realizes exclusion-ball only")
     kept = [[] for _ in estimators]
     for k in range(n):
         rng = child_rng(master_seed, k)
@@ -260,32 +266,18 @@ def estimate_ee(engine, window, n, master_seed) -> McEstimate:
     return run_estimators(engine.scenario, window, n, master_seed, [ee_estimator(engine, window)])[0]
 
 
-def ce_estimator(
-    engine: AnalyticEngine, window: Window, traffic_mode: str = "at-mean", sinr_mode: str = "instantaneous"
-):
+def ce_estimator(engine: AnalyticEngine, window: Window, traffic_mode: str = "at-mean"):
     """Empirical coverage efficiency: fraction of ``CE_USERS`` typical users
-    per realization whose rate exceeds their traffic demand; 0 with no
-    active station.
-
-    ``sinr_mode='mean-interference'`` replaces the realized interference by
-    the analytic average at the realized serving distance, matching the
-    approximation the closed-form coverage expression rests on; it draws
-    the users' positions and no shadowing.
-    """
+    per realization whose instantaneous rate exceeds their traffic demand;
+    0 with no active station."""
     if traffic_mode not in ("at-mean", "sampled"):
         raise ParameterError("traffic_mode must be 'at-mean' or 'sampled'")
-    if sinr_mode not in ("instantaneous", "mean-interference"):
-        raise ParameterError("sinr_mode must be 'instantaneous' or 'mean-interference'")
     s = engine.scenario
 
     def measure(active, rng):
         if len(active) == 0:
             return 0.0
-        if sinr_mode == "instantaneous":
-            rate = _typical_users(engine, window, active, rng, CE_USERS)
-        else:
-            ue = rng.uniform(-window.half_width, window.half_width, size=(CE_USERS, 2))
-            rate = np.log2(1.0 + engine.sinr_of_distance(np.sqrt(_sq_distances(active, ue).min(axis=1))))
+        rate = _typical_users(engine, window, active, rng, CE_USERS)
         if traffic_mode == "sampled":
             rho = s.traffic.sample_with(rng, size=len(rate))
         else:
@@ -295,10 +287,24 @@ def ce_estimator(
     return measure, _mc_estimate
 
 
-def estimate_ce(engine, window, n, master_seed, traffic_mode="at-mean", sinr_mode="instantaneous") -> McEstimate:
+def estimate_ce(engine, window, n, master_seed, traffic_mode="at-mean") -> McEstimate:
     """``ce_estimator`` over ``n`` realizations."""
-    est = ce_estimator(engine, window, traffic_mode, sinr_mode)
+    est = ce_estimator(engine, window, traffic_mode)
     return run_estimators(engine.scenario, window, n, master_seed, [est])[0]
+
+
+def serving_cdf_estimator(window: Window, radius: float):
+    """Empirical serving-distance CDF at ``radius``: fraction of ``CE_USERS``
+    uniform users per realization whose nearest station lies within it; 0
+    with no active station.  It draws no shadowing."""
+
+    def measure(active, rng):
+        if len(active) == 0:
+            return 0.0
+        ue = rng.uniform(-window.half_width, window.half_width, size=(CE_USERS, 2))
+        return float((_sq_distances(active, ue).min(axis=1) < radius**2).mean())
+
+    return measure, _mc_estimate
 
 
 # ---- finite-antenna validation of the asymptotic channel -----------------

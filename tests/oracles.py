@@ -126,3 +126,22 @@ def coverage_change_of_variables(engine, rho: float) -> float:
     r = np.array([engine.invert_sinr(g).r for g in np.exp(x).tolist()])
     val = (w * np.exp(x) * engine.nearest_model.pdf(r) / np.abs(sinr_slope(engine, r))).sum()
     return min(float(val) + engine.nearest_model.cdf(engine.R_GRID_LO), 1.0)
+
+
+def mean_interference_ce_estimator(engine, window: Window):
+    """Coverage of the mean-interference rate at the mean demand, one user
+    at a time, as an independent reference for ``mc.serving_cdf_estimator``
+    at the demand's ``coverage_radius``: the fraction of ``CE_USERS``
+    uniform users per realization whose rate log2(1 + SINR) at their
+    realized serving distance exceeds the demand; 0 with no active station.
+    It evaluates the interference kernel at every user's distance."""
+    rho = engine.scenario.traffic.mean()
+
+    def measure(active, rng):
+        if len(active) == 0:
+            return 0.0
+        ue = rng.uniform(-window.half_width, window.half_width, size=(mc.CE_USERS, 2))
+        rate = np.log2(1.0 + engine.sinr_of_distance(np.sqrt(mc._sq_distances(active, ue).min(axis=1))))
+        return float((rate > rho).mean())
+
+    return measure, mc._mc_estimate

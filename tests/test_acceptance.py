@@ -62,7 +62,7 @@ def test_criterion_02_intensity_identity():
     dens = []
     for k in range(200):
         active = _matern_realization(k)
-        dens.append(geometry.in_measurement_region(active, BIG_WINDOW).sum() / BIG_WINDOW.area)
+        dens.append(geometry.in_measurement_region(active, BIG_WINDOW).sum() / (2 * BIG_WINDOW.half_width) ** 2)
     dens = np.asarray(dens)
     se = dens.std(ddof=1) / np.sqrt(len(dens))
     z = (dens.mean() - ZETA1_REF) / se

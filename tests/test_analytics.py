@@ -450,6 +450,23 @@ def test_coverage_beyond_float_range_is_clipped(matern_engine):
     assert oracles.coverage_change_of_variables(matern_engine, 2000.0) == want
 
 
+@pytest.mark.parametrize("rho", [0.5, 1.5, 3.0, 8.0])
+def test_coverage_radius_inverts_the_threshold(matern_engine, ppp_engine, rho):
+    for eng in (matern_engine, ppp_engine):
+        radius = eng.coverage_radius(rho)
+        assert not radius.clipped
+        assert eng.sinr_of_distance(radius.r) == pytest.approx(2.0**rho - 1.0, rel=1e-9, abs=0.0)
+        assert eng.coverage_efficiency(rho) == min(float(eng.nearest_model.cdf(radius.r)), 1.0)
+
+
+def test_coverage_radius_clips_at_both_grid_ends(matern_engine):
+    # demand 0 is met at every distance (far end); 2000 overflows to an infinite threshold (near end)
+    assert matern_engine.coverage_radius(0.0) == (AnalyticEngine.R_GRID_HI, True)
+    assert matern_engine.coverage_radius(2000.0) == (AnalyticEngine.R_GRID_LO, True)
+    with pytest.raises(ParameterError):
+        matern_engine.coverage_radius(-0.1)
+
+
 def marginalized_oracle(eng):
     """Adaptive quad (relative 1e-12) of the coverage over v = ccdf(rho) in
     (0, 1], broken where the coverage has kinks: at the rates of the grid ends

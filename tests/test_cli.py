@@ -223,6 +223,9 @@ def test_compare_writes_report(cfg_file, tmp_path):
     assert jensen["jensen_direction"] is True
     coverage = [i for i in report if i["quantity"] == "coverage-efficiency"][0]
     assert coverage["verdict"].startswith("disagree")
+    # the MC coverage counts the users inside the radius the analytic CDF is read at
+    assert 0.0 < coverage["coverage_radius_m"] < 6000.0
+    assert coverage["radius_clipped"] is False
     # interference and coverage score every realization; EE may skip some
     assert [item["realizations_requested"] for item in report] == [40, 40, 40]
     assert report[0]["realizations_used"] == report[2]["realizations_used"] == 40
@@ -295,6 +298,30 @@ def test_analytic_min_distance_exits_zero(tmp_path):
     for strategy in ("matern", "ppp"):
         out = tmp_path / strategy
         assert cli.main(["analytic", "--config", str(cfg), "--strategy", strategy, "--out", str(out)]) == 0
+
+
+def test_monte_carlo_rows_reject_min_distance(tmp_path, capsys):
+    """The Monte Carlo engine realizes the exclusion ball only: its rows fail
+    for min-distance, so simulate and compare exit 1 with one error line,
+    and a sweep of both engines writes analytic rows and failed MC rows."""
+    cfg = tmp_path / "md.cfg"
+    cfg.write_text(FAST_CFG.replace("realizations=40", "realizations=4") + "regularization=min-distance\n")
+    reason = "regularization=min-distance: Monte Carlo realizes exclusion-ball only"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "simulate")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: ParameterError: {reason}"]
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "compare")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {reason}"]
+    assert not (tmp_path / "compare").exists()
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--param", "delta", "--values", "150,250", "--strategies", "matern",
+            "--engine", "both", "--out", str(out)]
+    assert cli.main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [(f["engine"], f["value"]) for f in summary["failures"]] == [("montecarlo", 150.0), ("montecarlo", 250.0)]
+    assert all("exclusion-ball only" in f["reason"] for f in summary["failures"])
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["analytic", "analytic", "montecarlo", "montecarlo"]
+    assert "nan" not in rows[0] and "nan" not in rows[1] and "nan" in rows[2]
 
 
 def _analytic_run(out, argv):

@@ -56,6 +56,8 @@ def test_validation_of_choices():
         cfgmod.parse_config_text("strategy=hex")
     with pytest.raises(ParameterError):
         cfgmod.parse_config_text("regularization=nope")
+    with pytest.raises(ParameterError):  # no run yields a row without a regularization
+        cfgmod.parse_config_text("regularization=none")
     with pytest.raises(ParameterError):
         cfgmod.parse_config_text("traffic_mode=hourly")
     with pytest.raises(ParameterError):

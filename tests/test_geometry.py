@@ -10,8 +10,8 @@ from greencell.hcpp import HcppParams, zeta1, zeta2
 
 def test_window_areas():
     w = Window(2500.0, 500.0)
-    assert w.area == 5000.0**2
-    assert w.sampling_area == 6000.0**2
+    assert (2 * w.half_width) ** 2 == 5000.0**2
+    assert (2 * w.sampling_half_width) ** 2 == 6000.0**2
     assert w.sampling_half_width == 3000.0
 
 
@@ -136,7 +136,7 @@ def test_random_thin_density():
     for seed in range(150):
         pts = geometry.sample_ppp(1e-4, w, seed=seed)
         kept = geometry.random_thin(pts, p, seed=seed + 5000)
-        dens.append(len(kept) / w.sampling_area)
+        dens.append(len(kept) / (2 * w.sampling_half_width) ** 2)
     mean = np.mean(dens)
     se = np.std(dens, ddof=1) / np.sqrt(len(dens))
     assert abs(mean - p * 1e-4) < 3.0 * se

@@ -6,6 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
+from greencell import config as cfgmod
 from greencell import geometry, mc
 from greencell.analytics import AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel
@@ -207,17 +208,20 @@ def test_estimate_ee_positive(scenario, engine):
     assert est.realization_count <= 40
 
 
+def _serving_cdf(engine, window, n, master_seed):
+    radius = engine.coverage_radius(engine.scenario.traffic.mean()).r
+    return mc.run_estimators(engine.scenario, window, n, master_seed, [mc.serving_cdf_estimator(window, radius)])[0]
+
+
 def test_estimate_ce_modes(scenario, engine):
     inst = mc.estimate_ce(engine, WINDOW, 60, 5)
-    mean_i = mc.estimate_ce(engine, WINDOW, 60, 5, sinr_mode="mean-interference")
+    mean_i = _serving_cdf(engine, WINDOW, 60, 5)
     assert 0.0 <= inst.mean <= 1.0
     assert 0.0 <= mean_i.mean <= 1.0
     sampled = mc.estimate_ce(engine, WINDOW, 30, 5, traffic_mode="sampled")
     assert 0.0 <= sampled.mean <= 1.0
     with pytest.raises(ParameterError):
         mc.estimate_ce(engine, WINDOW, 30, 5, traffic_mode="hourly")
-    with pytest.raises(ParameterError):
-        mc.estimate_ce(engine, WINDOW, 30, 5, sinr_mode="peak")
 
 
 def test_mean_interference_coverage_draws_no_shadowing(monkeypatch, engine):
@@ -229,10 +233,55 @@ def test_mean_interference_coverage_draws_no_shadowing(monkeypatch, engine):
         return sample_with(self, *args, **kwargs)
 
     monkeypatch.setattr(ShadowingModel, "sample_with", counted)
-    mc.estimate_ce(engine, WINDOW, 6, 5, sinr_mode="mean-interference")
+    _serving_cdf(engine, WINDOW, 6, 5)
     assert len(calls) == 0
     mc.estimate_ce(engine, WINDOW, 6, 5)
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_serving_cdf_pass_calls_no_kernel(monkeypatch, engine, n):
+    """The serving-CDF pass compares distances with one radius, found
+    before it; the per-user count it replaces calls the kernel once per
+    realization."""
+    radius = engine.coverage_radius(engine.scenario.traffic.mean()).r
+    interference_base, calls = AnalyticEngine.interference_base, []
+
+    def counted(self, r):
+        calls.append(1)
+        return interference_base(self, r)
+
+    monkeypatch.setattr(AnalyticEngine, "interference_base", counted)
+    mc.run_estimators(engine.scenario, WINDOW, n, 5, [mc.serving_cdf_estimator(WINDOW, radius)])
+    assert len(calls) == 0
+    mc.run_estimators(engine.scenario, WINDOW, n, 5, [oracles.mean_interference_ce_estimator(engine, WINDOW)])
+    assert len(calls) == n
+
+
+@pytest.mark.parametrize(
+    "strategy, convention",
+    [("matern", "db-std"), ("matern", "paper-moments"), ("ppp", "db-std"), ("random", "db-std")],
+)
+def test_serving_cdf_equals_mean_interference_count(strategy, convention):
+    """Rate > demand exactly inside the coverage radius, as the SINR is
+    strictly decreasing: the serving-distance CDF at the radius equals the
+    per-user mean-interference count bit for bit, on the same users, at the
+    compare command's defaults (seeds 1-40, 60 realizations)."""
+    cfg = cfgmod.RunConfig(strategy=strategy, shadowing_convention=convention)
+    scenario, window = cfgmod.to_scenario(cfg), cfgmod.to_window(cfg)
+    eng = AnalyticEngine(scenario)
+    radius = eng.coverage_radius(scenario.traffic.mean()).r
+    estimators = [mc.serving_cdf_estimator(window, radius), oracles.mean_interference_ce_estimator(eng, window)]
+    for seed in range(1, 41):
+        new, old = mc.run_estimators(scenario, window, 60, seed, estimators)
+        assert new == old, seed
+
+
+def test_mc_realizes_only_the_exclusion_ball(engine):
+    for regularization in ("min-distance", "none"):
+        sc = dataclasses.replace(engine.scenario, regularization=regularization)
+        with pytest.raises(ParameterError, match="exclusion-ball only"):
+            mc.estimate_ee(AnalyticEngine(sc), WINDOW, 4, 1)
 
 
 def test_ce_deterministic_in_seed(scenario, engine):

@@ -2,8 +2,9 @@
 ``LAYERS`` with ``vars(owner)[attr]`` and reads each estimator's realization
 count, and the thinning's point count, by position.  A rename or a moved ``n`` here would crash a traced run;
 this test makes it fail in the test suite instead.  Those names are also
-the only public definitions in ``src/`` that the package itself may leave
-unused: a helper that only tests call belongs in ``tests/oracles.py``."""
+the only public definitions in ``src/`` (functions, classes, and the
+methods and properties of public classes) that the package itself may
+leave unused: a helper that only tests call belongs in ``tests/oracles.py``."""
 import ast
 import importlib
 import importlib.util
@@ -56,19 +57,30 @@ def test_thin_counter_offers_the_point_count(child):
     assert counters == {"offered": 3, "retained": 2}
 
 
+def _public_definitions(tree):
+    """(path, is_member) of every public module-level function and class, and
+    of every public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, False
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", True
+
+
 def test_public_definitions_are_used_by_the_package(child):
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
-    used = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-    wrapped = {(module, path.split(".")[0]) for module, path, _, _ in child.LAYERS}
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names = attrs | {n.id for n in nodes if isinstance(n, ast.Name)}
+    wrapped = {(module, p) for module, path, _, _ in child.LAYERS for p in (path, path.split(".")[0])}
     unused = [
-        f"{module}.{node.name}"
+        f"{module}.{path}"
         for module, tree in trees.items()
         if module != "__init__"
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
-        and (module, node.name) not in wrapped
+        for path, is_member in _public_definitions(tree)
+        # a member is reached as an attribute; a module-level name may also be passed bare
+        if path.split(".")[-1] not in (attrs if is_member else names) and (module, path) not in wrapped
     ]
     assert unused == [], f"public definitions no package code uses: {unused}"
