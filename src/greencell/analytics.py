@@ -15,7 +15,7 @@ is exactly what nearest-station association realizes in the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +31,31 @@ STRATEGIES = ("ppp", "matern", "random")
 REGULARIZATIONS = ("exclusion-ball", "min-distance", "none")
 RANDOM_MODES = ("retain", "remove")
 MIN_DISTANCE_EPS = 1.0  # m; interferer distance floor of the "min-distance" regularization
+PAIR_NODES = 96  # quadrature nodes of the station-pair power kernel, interpolated onto 4096 in ln u
+
+
+@lru_cache(maxsize=32)
+def _pair_table(model, alpha: float, hard_core: float):
+    """(ln u_0, step, ln h, its differences) on 4098 uniform ln u for ``AnalyticEngine.pair_kernel``
+    per (hashable) nearest-distance model and alpha: 6-point Lagrange in s from ``PAIR_NODES``
+    quadratures, one at a time, at uniform s (README, Numerical notes)."""
+    r_sup = model.support_radius()
+    u_lo = hard_core or 1e-4 * r_sup
+    span, grade = np.log(1e2 * r_sup / u_lo), 2 if hard_core else 1
+    y = np.empty(PAIR_NODES)
+    for j, u in enumerate(u_lo * np.exp(span * np.linspace(0.0, 1.0, PAIR_NODES) ** grade)):
+        edges = np.unique(np.minimum([0.0, hard_core / 2.0, *(0.5 * u * 8.0 ** np.arange(6)), r_sup], r_sup))
+        r, w = _panelize(edges, _SMOOTH_NODES, _SMOOTH_WEIGHTS)
+        psi_edges = np.stack([np.arccos(np.minimum(1.0, u / (2.0 * r))), np.full_like(r, np.pi)], axis=-1)
+        psi, wpsi = _panelize(psi_edges, _SMOOTH_NODES, _SMOOTH_WEIGHTS)
+        d2 = u * u + r[:, None] ** 2 - 2.0 * u * r[:, None] * np.cos(psi)
+        y[j] = np.log((w * model.pdf(r) * (wpsi * d2 ** (-alpha / 2.0)).sum(axis=1)).sum() / np.pi)
+    t = np.linspace(0.0, 1.0, 4096) ** (1.0 / grade) * (PAIR_NODES - 1)
+    i = np.clip(np.floor(t).astype(int) - 2, 0, PAIR_NODES - 6)
+    ln_h = sum(np.prod([(t - i - b) / (a - b) for b in range(6) if b != a], axis=0) * y[i + a] for a in range(6))
+    step = span / 4095  # one node more at each end, on the asymptotes u^(2 - alpha) and u^(-alpha)
+    ln_h = np.concatenate([[ln_h[0] - (2.0 - alpha) * step], ln_h, [ln_h[-1] - alpha * step]])
+    return np.log(u_lo) - step, step, ln_h, np.diff(ln_h)
 
 
 @dataclass(frozen=True)
@@ -301,6 +326,21 @@ class AnalyticEngine:
         mean_j = float((wf * j).sum())
         return s.radio.antennas_m * s.radio.p_p * self.k_ue * s.shadowing.moment(1) * mean_j
 
+    def pair_kernel(self, u2):
+        """h(u) at an array of squared station distances ``u2``: the mean d^(-alpha) from a station
+        to one user of a cell u away, over the nearest law's offset and a uniform angle, less
+        the users nearer the station than their own.  Linear in ln u on ``_pair_table``
+        (relative error <= 1e-4), beyond it its asymptotes u^(2 - alpha) and u^(-alpha): 0 at inf."""
+        x0, dx, y, dy = _pair_table(self.nearest_model, self.scenario.radio.alpha, self._hard_core)
+        t = np.log(u2)  # in place from here: each temporary of a large u2 costs a pass
+        t *= 0.5 / dx
+        t -= x0 / dx
+        k = np.clip(t, 0.0, len(dy) - 1).astype(np.intp)  # the end segments extrapolate
+        t -= k
+        t *= dy[k]
+        t += y[k]
+        return np.exp(t, out=t)
+
     def bs_power(self, p_tx: float | None = None) -> float:
         """Linear station power model: amplifier draw plus RF chains plus static."""
         s = self.scenario
@@ -310,10 +350,10 @@ class AnalyticEngine:
             raise ParameterError("p_tx must be >= 0")
         return p_tx / s.radio.eta + s.radio.antennas_m * s.radio.p_rf_chain + s.radio.p_sta
 
-    def energy_efficiency(self) -> float:
+    def energy_efficiency(self, p_tx: float | None = None) -> float:
         """Area rate over area power; the active density cancels, leaving the
         per-cell sum rate over the per-station power draw."""
-        return self.avg_cell_rate() / self.bs_power()
+        return self.avg_cell_rate() / self.bs_power(p_tx)
 
     # ---- SINR-vs-distance and coverage -----------------------------------
 

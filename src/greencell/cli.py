@@ -298,7 +298,7 @@ def _cmd_sweep(args) -> int:
 
 def _agreement(quantity: str, analytic: float, est: mc.McEstimate) -> dict:
     """Report item whose verdict is agreement within 3 standard errors."""
-    z = (est.mean - analytic) / est.std_error if est.std_error > 0 else math.inf
+    z = (est.mean - analytic) / est.std_error if est.std_error > 0 else (0.0 if est.mean == analytic else math.inf)
     verdict = "agree" if abs(z) <= 3.0 else f"disagree (z={z:.1f})"
     return {"quantity": quantity, "analytic": analytic, "mc_mean": est.mean, "mc_se": est.std_error, "verdict": verdict}
 
@@ -312,13 +312,15 @@ def _cmd_compare(args) -> int:
     engine = AnalyticEngine(scenario)
     n = cfg.realizations
     i_ana = engine.avg_interference(args.r_int)
-    ee_ana = engine.energy_efficiency()
+    p_ana = engine.avg_tx_power()
+    ee_ana = engine.energy_efficiency(p_ana)
     ce_ana = engine.coverage_efficiency_traffic("at-mean")
     radius = engine.coverage_radius(scenario.traffic.mean())
-    i_mc, ee_mc, ce_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
+    i_mc, ee_mc, ce_mc, p_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
         mc.interference_estimator(engine, window, args.r_int),
         mc.ee_estimator(engine, window),
         mc.serving_cdf_estimator(window, radius.r),
+        mc.power_estimator(engine, window),
     ])
     jensen_ok = ee_ana <= ee_mc.mean + 3.0 * ee_mc.std_error
     report = [
@@ -329,12 +331,14 @@ def _cmd_compare(args) -> int:
             "mc_mean": ee_mc.mean,
             "mc_se": ee_mc.std_error,
             "jensen_direction": jensen_ok,
+            "jensen_ratio": ee_mc.mean / ee_ana if ee_ana else None,  # no users: 0 / 0
             "verdict": "lower-bound holds" if jensen_ok else "lower-bound violated",
         },
         {**_agreement("coverage-efficiency", ce_ana, ce_mc),
          "coverage_radius_m": radius.r, "radius_clipped": radius.clipped},
+        _agreement("transmit-power", p_ana, p_mc),
     ]
-    for item, est in zip(report, (i_mc, ee_mc, ce_mc)):
+    for item, est in zip(report, (i_mc, ee_mc, ce_mc, p_mc)):
         item.update(realizations_requested=n, realizations_used=est.realization_count)
 
     os.makedirs(args.out, exist_ok=True)

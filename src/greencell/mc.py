@@ -7,7 +7,7 @@ derived as SeedSequence([master_seed, index]), so results are bit-identical
 for a given (scenario, window, master_seed, count) regardless of how the
 realizations are scheduled, or of which estimators share them.  Sums linear
 in the shadowing coefficient omega (station power, mean interference) take
-its moments in place of draws: conditional Monte Carlo, exact over omega.
+its moments, and station power its users' mean, in place of draws (conditional Monte Carlo).
 ``compare``'s coverage is the serving-distance CDF at the mean demand's
 ``coverage_radius``, exact because the mean-interference SINR strictly
 decreases in distance (``MonotonicityError`` otherwise).
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,25 +65,6 @@ def _mc_estimate(values: np.ndarray) -> McEstimate:
     return McEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)), n)
 
 
-@lru_cache(maxsize=32)
-def _offset_table(model) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and normalized trapezoid CDF of a (frozen, hashable)
-    nearest-distance model, shared read-only by every draw from it."""
-    r = np.linspace(0.0, model.support_radius(1e-7), 2048)
-    pdf = np.asarray(model.pdf(r), float)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(r))])
-    cdf /= cdf[-1]
-    r.setflags(write=False)
-    cdf.setflags(write=False)
-    return r, cdf
-
-
-def _sample_offsets(model, rng: np.random.Generator, size) -> np.ndarray:
-    """Serving-distance draws from a nearest-distance model, by inverse CDF."""
-    r, cdf = _offset_table(model)
-    return np.interp(rng.uniform(size=size), cdf, r)
-
-
 def _sq_distances(stations, users) -> np.ndarray:
     """Squared distances from every user (rows) to every station (columns)."""
     d2 = (stations[None, :, 0] - users[:, None, 0]) ** 2
@@ -125,43 +105,24 @@ def _typical_users(engine: AnalyticEngine, window: Window, active: np.ndarray, r
     return np.log2(1.0 + gain * own / (gain * other + s.radio.noise_power))
 
 
-def run_realization(engine: AnalyticEngine, window: Window, active: np.ndarray, rng: np.random.Generator):
-    """Energy-efficiency measurements on the non-empty ``active`` stations
-    of one realization, drawing the rest from ``rng``: the rates of k
-    typical users, and the transmit power of the first ``POWER_STATIONS``
-    stations in the measurement region (none when it holds no station or
-    ``active`` only one).
-
-    Station transmit power follows the precoded-downlink sum over every
-    sampled cell's users, with user offsets drawn from the strategy's
-    serving-distance law (own-cell term excluded; its spatial expectation
-    is divergent, see the analytics module).  The sum is linear in omega,
-    so it takes E[omega] = ``moment(1)`` in place of sampled shadowing
-    (conditional Monte Carlo).
-    """
+def station_power(engine: AnalyticEngine, window: Window, active: np.ndarray) -> np.ndarray:
+    """Transmit power m p_p E[omega] k sum_{j != i} h(|x_i - x_j|) of the first ``POWER_STATIONS``
+    stations i in the measurement region (none when it holds no station or ``active`` only one):
+    ``pair_kernel`` h integrates out the other cells' users; the own cell's sum diverges."""
+    idx = np.flatnonzero(geometry.in_measurement_region(active, window))[:POWER_STATIONS]
+    if len(idx) == 0 or len(active) < 2:
+        return np.zeros(0)
+    d2 = _sq_distances(active, active[idx])
+    d2[np.arange(len(idx)), idx] = np.inf  # drops the own cell: h(inf) = 0
     s = engine.scenario
-    k_int = max(int(round(engine.k_ue)), 1)
-    rate = _typical_users(engine, window, active, rng, k_int)
-    sample_idx = np.flatnonzero(geometry.in_measurement_region(active, window))[:POWER_STATIONS]
-    if len(sample_idx) == 0 or len(active) < 2:
-        return rate, np.zeros(0)
+    return s.radio.antennas_m * s.radio.p_p * s.shadowing.moment(1) * engine.k_ue * engine.pair_kernel(d2).sum(axis=1)
 
-    m = s.radio.antennas_m
-    radii = _sample_offsets(engine.nearest_model, rng, size=(len(active), k_int))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(active), k_int))
-    ux = active[:, 0:1] + radii * np.cos(angles)
-    uy = active[:, 1:2] + radii * np.sin(angles)
-    radii2 = radii**2
-    scale = m * s.radio.p_p * s.shadowing.moment(1)
-    power = np.empty(len(sample_idx))
-    for row, i in enumerate(sample_idx):
-        d2 = (ux - active[i, 0]) ** 2 + (uy - active[i, 1]) ** 2
-        # a user closer to this station than to its own server would have
-        # associated here instead, so such contributions never occur
-        terms = np.where(d2 >= radii2, d2 ** (-s.radio.alpha / 2.0), 0.0)
-        terms[i] = 0.0  # own-cell sum excluded
-        power[row] = scale * float(terms.sum())
-    return rate, power
+
+def run_realization(engine: AnalyticEngine, window: Window, active: np.ndarray, rng: np.random.Generator):
+    """Energy-efficiency measurements on the non-empty ``active`` stations of one
+    realization: the rates of round(k) typical users, its only draws, and ``station_power``."""
+    rate = _typical_users(engine, window, active, rng, max(int(round(engine.k_ue)), 1))
+    return rate, station_power(engine, window, active)
 
 
 def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int, estimators) -> list:
@@ -264,6 +225,16 @@ def ee_estimator(engine: AnalyticEngine, window: Window):
 def estimate_ee(engine, window, n, master_seed) -> McEstimate:
     """``ee_estimator`` over ``n`` realizations."""
     return run_estimators(engine.scenario, window, n, master_seed, [ee_estimator(engine, window)])[0]
+
+
+def power_estimator(engine: AnalyticEngine, window: Window):
+    """Mean ``station_power`` per realization; skips those with no measured station, as EE."""
+
+    def measure(active, rng):
+        power = station_power(engine, window, active)
+        return float(power.mean()) if len(power) else None
+
+    return measure, _mc_estimate
 
 
 def ce_estimator(engine: AnalyticEngine, window: Window, traffic_mode: str = "at-mean"):

@@ -2,11 +2,13 @@
 runs them.  Each is a second route to a quantity the package computes, or a
 direct statistic of a sampled point set."""
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from greencell import mc
+from greencell import geometry, mc
 from greencell.errors import ParameterError
 from greencell.geometry import Window
 from greencell.quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize
@@ -145,3 +147,74 @@ def mean_interference_ce_estimator(engine, window: Window):
         return float((rate > rho).mean())
 
     return measure, mc._mc_estimate
+
+
+@lru_cache(maxsize=32)
+def _offset_table(model) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and normalized trapezoid CDF of a (frozen, hashable)
+    nearest-distance model, shared read-only by every draw from it."""
+    r = np.linspace(0.0, model.support_radius(1e-7), 2048)
+    pdf = np.asarray(model.pdf(r), float)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(r))])
+    cdf /= cdf[-1]
+    r.setflags(write=False)
+    cdf.setflags(write=False)
+    return r, cdf
+
+
+def _sample_offsets(model, rng: np.random.Generator, size) -> np.ndarray:
+    """Serving-distance draws from a nearest-distance model, by inverse CDF."""
+    r, cdf = _offset_table(model)
+    return np.interp(rng.uniform(size=size), cdf, r)
+
+
+def per_user_station_power(engine, window: Window, active: np.ndarray, rng) -> np.ndarray:
+    """Transmit power of the first ``mc.POWER_STATIONS`` stations in the
+    measurement region as a sum over sampled users, as an independent
+    reference for ``mc.station_power``: round(k) users per active cell at
+    offsets drawn from the strategy's serving-distance law and uniform
+    angles, both from ``rng``; m * P_p * E[omega] * sum(d^-alpha) over the
+    other cells' users.  Empty when the region holds no station or
+    ``active`` only one."""
+    s = engine.scenario
+    k_int = max(int(round(engine.k_ue)), 1)
+    sample_idx = np.flatnonzero(geometry.in_measurement_region(active, window))[:mc.POWER_STATIONS]
+    if len(sample_idx) == 0 or len(active) < 2:
+        return np.zeros(0)
+
+    m = s.radio.antennas_m
+    radii = _sample_offsets(engine.nearest_model, rng, size=(len(active), k_int))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(active), k_int))
+    ux = active[:, 0:1] + radii * np.cos(angles)
+    uy = active[:, 1:2] + radii * np.sin(angles)
+    radii2 = radii**2
+    scale = m * s.radio.p_p * s.shadowing.moment(1)
+    power = np.empty(len(sample_idx))
+    for row, i in enumerate(sample_idx):
+        d2 = (ux - active[i, 0]) ** 2 + (uy - active[i, 1]) ** 2
+        # a user closer to this station than to its own server would have
+        # associated here instead, so such contributions never occur
+        terms = np.where(d2 >= radii2, d2 ** (-s.radio.alpha / 2.0), 0.0)
+        terms[i] = 0.0  # own-cell sum excluded
+        power[row] = scale * float(terms.sum())
+    return power
+
+
+def scaled_pair_kernel(engine, u: float) -> float:
+    """u^alpha h(u) of ``AnalyticEngine.pair_kernel`` by nested adaptive
+    ``quad`` in rho = r / u: the angle from arccos(min(1, 1 / 2 rho)) to pi
+    inside, the nearest law's offset r outside, on intervals broken at
+    delta/2 and at u/2 quadrupling out to the law's support radius, where
+    the table's quadrature also stops (the mass beyond is 1e-9)."""
+    model, alpha = engine.nearest_model, engine.scenario.radio.alpha
+    r_sup = model.support_radius()
+
+    def angular(r):
+        rho = r / u
+        psi_min = np.arccos(min(1.0, 0.5 / rho))
+        return quad(lambda psi: (1.0 + rho * rho - 2.0 * rho * np.cos(psi)) ** (-alpha / 2.0),
+                    psi_min, np.pi, epsabs=0.0, epsrel=1e-12)[0] / np.pi
+
+    edges = sorted({0.0, engine._hard_core / 2.0, r_sup, *(e for e in 0.5 * u * 4.0 ** np.arange(40) if e < r_sup)})
+    return sum(quad(lambda r: model.pdf(r) * angular(r), a, b, epsabs=0.0, epsrel=1e-10)[0]
+               for a, b in zip(edges[:-1], edges[1:]))

@@ -360,6 +360,25 @@ def test_tx_power_pinned(strategy, watts):
     assert abs(eng.avg_tx_power() / watts - 1.0) <= 1e-12
 
 
+def _pair_kernel_cases():
+    r_sup = {s: AnalyticEngine(Scenario(PARAMS, strategy=s)).nearest_model.support_radius() for s in ("ppp", "matern")}
+    # ppp: the u^(2 - alpha) branch below the first node (1e-4 r_sup = 2.6 cm) and the table above it
+    cases = [("ppp", u) for u in (1e-3, 1e-2, 0.1, 1.0)]
+    cases += [("matern", PARAMS.delta), ("matern", 1.01 * PARAMS.delta), ("matern", 2.0 * PARAMS.delta)]
+    for strategy in ("ppp", "matern"):  # where the user offsets run out, and the u^-alpha branch
+        cases += [(strategy, r_sup[strategy]), (strategy, 300.0 * r_sup[strategy])]
+    return cases
+
+
+@pytest.mark.parametrize("strategy, u", _pair_kernel_cases())
+def test_pair_kernel_matches_quadrature_oracle(strategy, u):
+    # the station-pair power kernel's table, interpolation and asymptotes
+    # within 1e-4 of nested adaptive quad (README, Numerical notes)
+    eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
+    h = float(eng.pair_kernel(np.array([u * u]))[0])
+    assert abs(h * u**eng.scenario.radio.alpha / oracles.scaled_pair_kernel(eng, u) - 1.0) <= 1e-4
+
+
 def test_tx_power_divergence_at_low_alpha():
     eng = AnalyticEngine(
         Scenario(PARAMS, radio=RadioParams(alpha=2.0), shadowing=ShadowingModel(0.0))

@@ -221,13 +221,18 @@ def test_compare_writes_report(cfg_file, tmp_path):
     assert "energy-efficiency" in quantities
     jensen = [i for i in report if i["quantity"] == "energy-efficiency"][0]
     assert jensen["jensen_direction"] is True
+    assert jensen["jensen_ratio"] == jensen["mc_mean"] / jensen["analytic"]
     coverage = [i for i in report if i["quantity"] == "coverage-efficiency"][0]
     assert coverage["verdict"].startswith("disagree")
     # the MC coverage counts the users inside the radius the analytic CDF is read at
     assert 0.0 < coverage["coverage_radius_m"] < 6000.0
     assert coverage["radius_clipped"] is False
+    # station power has a z verdict on the realizations EE keeps
+    power = [i for i in report if i["quantity"] == "transmit-power"][0]
+    assert power["verdict"] == "agree"
+    assert power["realizations_used"] == jensen["realizations_used"]
     # interference and coverage score every realization; EE may skip some
-    assert [item["realizations_requested"] for item in report] == [40, 40, 40]
+    assert [item["realizations_requested"] for item in report] == [40, 40, 40, 40]
     assert report[0]["realizations_used"] == report[2]["realizations_used"] == 40
     assert 2 <= report[1]["realizations_used"] <= 40
 
@@ -420,6 +425,18 @@ def test_compare_reports_analytic_divergence_as_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: InterferenceDivergenceError: transmit-power integral diverges")
     assert "Traceback" not in err
+
+
+def test_compare_without_users(tmp_path):
+    # no users: EE and station power are exactly 0 in both engines, with no spread
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST_CFG.replace("realizations=40", "realizations=4") + "ues_per_cell_l=0\n")
+    cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+    report = {item["quantity"]: item for item in json.loads((tmp_path / "out" / "compare.json").read_text())}
+    assert report["energy-efficiency"]["jensen_ratio"] is None
+    power = report["transmit-power"]
+    assert power["analytic"] == power["mc_mean"] == power["mc_se"] == 0.0
+    assert power["verdict"] == "agree"
 
 
 def test_validate_rejects_empty_antenna_list(cfg_file, capsys):

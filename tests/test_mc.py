@@ -90,9 +90,9 @@ def test_run_realization_interference_next_to_server(scenario):
 
 
 def test_station_power_matches_direct_sum():
-    """Per-station transmit power against m * P_p * E[omega] * sum(d^-alpha),
-    summed one (station, cell, user) term at a time from a replay of the
-    realization's stream: cells other than the station's own, users no
+    """The per-user reference for station power against m * P_p * E[omega] *
+    sum(d^-alpha), summed one (station, cell, user) term at a time from a
+    replay of its stream: cells other than the station's own, users no
     closer to the station than to their own server.  The sum is linear in
     omega, so its expectation over shadowing takes E[omega] = moment(1)."""
     scenario = Scenario(PARAMS, shadowing=ShadowingModel(6.0, "db-std"))
@@ -100,12 +100,10 @@ def test_station_power_matches_direct_sum():
     layout = np.array([[0.0, 0.0], [260.0, 40.0], [-180.0, 230.0], [90.0, -310.0], [-400.0, -150.0]])
     rng = mc.child_rng(6, 0)
     replay = copy.deepcopy(rng)
-    _, power = mc.run_realization(engine, WINDOW, layout, rng)
+    power = oracles.per_user_station_power(engine, WINDOW, layout, rng)
 
     n, k = len(layout), max(int(round(engine.k_ue)), 1)
-    replay.uniform(-WINDOW.half_width, WINDOW.half_width, size=(k, 2))  # k typical users
-    scenario.shadowing.sample_with(replay, size=(k, n))  # their gains
-    radii = mc._sample_offsets(engine.nearest_model, replay, size=(n, k))
+    radii = oracles._sample_offsets(engine.nearest_model, replay, size=(n, k))
     angles = replay.uniform(0.0, 2.0 * np.pi, size=(n, k))
     omega_mean = scenario.shadowing.moment(1)
     radio = scenario.radio
@@ -126,6 +124,39 @@ def test_station_power_matches_direct_sum():
         expected.append(radio.antennas_m * radio.p_p * omega_mean * total)
     assert excluded > 0  # the layout exercises the association rule
     assert power == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("convention, seed", [("db-std", 721), ("paper-moments", 722)])
+def test_kernel_power_matches_per_user_sum(convention, seed):
+    """``station_power`` is the expectation of the per-user sum given the
+    stations: paired on the same stations (matern at the config defaults,
+    400 realizations), their per-realization means differ by noise alone,
+    |z| <= 3.  The reference sums round(k) users per cell and the kernel k,
+    so the kernel side is scaled by round(k) / k; E[omega] scales both
+    sides alike, so the two conventions differ only by their seeds."""
+    cfg = cfgmod.RunConfig(shadowing_convention=convention)
+    scenario, window = cfgmod.to_scenario(cfg), cfgmod.to_window(cfg)
+    engine = AnalyticEngine(scenario)
+    users = max(int(round(engine.k_ue)), 1) / engine.k_ue
+    diffs = []
+    for k in range(400):
+        rng = mc.child_rng(seed, k)
+        active = mc.sample_active(scenario, window, rng)
+        kernel = mc.station_power(engine, window, active)
+        if len(kernel):
+            diffs.append(oracles.per_user_station_power(engine, window, active, rng).mean() - users * kernel.mean())
+    est = mc._mc_estimate(diffs)
+    assert abs(est.mean / est.std_error) <= 3.0
+
+
+def test_run_realization_draws_only_typical_users(scenario, engine):
+    # station power draws nothing: the stream ends where the k typical users leave it
+    active = mc.sample_active(scenario, WINDOW, mc.child_rng(8, 0))
+    rng, replay = mc.child_rng(8, 1), mc.child_rng(8, 1)
+    rate, power = mc.run_realization(engine, WINDOW, active, rng)
+    assert len(power) == mc.POWER_STATIONS
+    assert np.array_equal(rate, mc._typical_users(engine, WINDOW, active, replay, max(int(round(engine.k_ue)), 1)))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_interference_matches_analytic(scenario, engine):
