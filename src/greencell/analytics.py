@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import numpy.ma  # np.unique loads it on first call, which would fall inside a run
 
 from . import hcpp
 from .channel import RadioParams, ShadowingModel, TrafficModel
@@ -28,9 +29,8 @@ from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS, _GL_
 from .quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize, regula_falsi
 
 STRATEGIES = ("ppp", "matern", "random")
-REGULARIZATIONS = ("exclusion-ball", "min-distance", "none")
+REGULARIZATIONS = ("exclusion-ball", "none")
 RANDOM_MODES = ("retain", "remove")
-MIN_DISTANCE_EPS = 1.0  # m; interferer distance floor of the "min-distance" regularization
 PAIR_NODES = 96  # quadrature nodes of the station-pair power kernel, interpolated onto 4096 in ln u
 
 
@@ -164,8 +164,8 @@ class AnalyticEngine:
         """Integral of second_moment(|x|) * |x + x_int|^(-p_exp) over the plane,
         with |x_int| = r, under the scenario's regularization.  Geometry is
         centered on the serving station; ``u`` is the interferer's distance to
-        it and ``dist`` its distance to the user; the other regularizations
-        add ``_disk_term`` to the exclusion-ball integral."""
+        it and ``dist`` its distance to the user; ``none`` adds ``_disk_term``
+        to the exclusion-ball integral."""
         r = np.atleast_1d(np.asarray(r, float))
         if np.any(r <= 0):
             raise ParameterError("serving distance must be > 0")
@@ -186,8 +186,7 @@ class AnalyticEngine:
             out = self.active_density**2 * 2.0 * np.pi * r ** (2.0 - p_exp) / (p_exp - 2.0)
         if mode == "exclusion-ball":
             return out
-        eps = MIN_DISTANCE_EPS if mode == "min-distance" else 0.0
-        return out + [self._disk_term(float(ri), p_exp, eps) for ri in r]
+        return out + [self._disk_term(float(ri), p_exp) for ri in r]
 
     def _angular(self, u: np.ndarray, r: float, psi_min: np.ndarray, p_exp: float) -> np.ndarray:
         """2 * integral over psi in [psi_min, pi] of dist^-p, per u node."""
@@ -238,17 +237,17 @@ class AnalyticEngine:
             k += 1
         return float(self.second_moment(c)) * 2.0 * np.pi * c ** (2.0 - p_exp) * series
 
-    def _disk_term(self, r: float, p_exp: float, eps: float) -> float:
-        """Integral of second_moment(u) * (max(s, eps)^-p - [s >= r] s^-p) over
-        the disk s < max(r, eps) around the user, in polar coordinates (s, phi)
-        about it.  s-panels break where the circle s touches u = delta or
-        2 delta and double upward, as s^(1-p) falls steeply; phi-panels break
-        at u = delta (where the second moment jumps), 1.5 delta and 2 delta."""
-        delta, s_hi = self._hard_core, max(r, eps)
-        near = (0.0, eps, r, abs(r - delta), r + delta, abs(r - 2.0 * delta))
-        edges = {e for e in near if e < s_hi} | {s_hi}
+    def _disk_term(self, r: float, p_exp: float) -> float:
+        """Integral of second_moment(u) * s^-p over the disk s < r around the
+        user, in polar coordinates (s, phi) about it.  s-panels break where
+        the circle s touches u = delta or 2 delta and double upward, as s^(1-p)
+        falls steeply; phi-panels break at u = delta (where the second moment
+        jumps), 1.5 delta and 2 delta."""
+        delta = self._hard_core
+        near = (0.0, abs(r - delta), r + delta, abs(r - 2.0 * delta))
+        edges = {e for e in near if e < r} | {r}
         g = min(e for e in edges if e > 0)
-        while g < s_hi:
+        while g < r:
             edges.add(g)
             g *= 2.0
         s, ws = _panelize(sorted(edges), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
@@ -258,8 +257,7 @@ class AnalyticEngine:
         phi, wphi = _panelize(2.0 * np.arcsin(np.sqrt(sin_sq)), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
         u = np.sqrt((r - s[:, None]) ** 2 + 4.0 * r * s[:, None] * np.sin(0.5 * phi) ** 2)
         ang = 2.0 * (wphi * np.asarray(self.second_moment(u), float)).sum(axis=1)
-        clip = np.maximum(s, eps) ** -p_exp - np.where(s >= r, s**-p_exp, 0.0)
-        return float((ws * s * clip * ang).sum())
+        return float((ws * s * s**-p_exp * ang).sum())
 
     # ---- metrics ---------------------------------------------------------
 

@@ -3,9 +3,8 @@ cross-engine comparison and the finite-antenna validation table.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 built-in trend
 assertion failure or a ``compare`` verdict where the engines disagree.
-Output rows are computed independently per distinct sweep scenario
-(possibly in parallel, capped by NETSIM_THREADS) and written in declaration
-order, so the CSV is byte-identical regardless of scheduling.
+A sweep computes each distinct scenario once, in order, and writes its rows
+in declaration order.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -66,19 +64,6 @@ class ResultRow:
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
-def _thread_count() -> int:
-    env = os.environ.get("NETSIM_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"NETSIM_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ParameterError("NETSIM_THREADS must be >= 1")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
 def _content_hash(text: str) -> str:
     """Hash of the run inputs, git blob style."""
     blob = f"blob {len(text.encode())}\0".encode() + text.encode()
@@ -119,25 +104,13 @@ def _trend_assertions(rows: list[ResultRow], param: str) -> list[dict]:
         return sorted(sel, key=lambda r: r.value)
 
     hc = series("matern")
+    ee, ce = [r.ee for r in hc], [r.ce for r in hc]
     if param in ("lambda_b", "delta") and len(hc) >= 2:
-        ee = [r.ee for r in hc]
-        out.append(
-            {
-                "name": f"ee-increasing-in-{param}",
-                "passed": all(b > a for a, b in zip(ee, ee[1:])),
-                "detail": ee,
-            }
-        )
+        passed = all(b > a for a, b in zip(ee, ee[1:]))
+        out.append({"name": f"ee-increasing-in-{param}", "passed": passed, "detail": ee})
     if param == "antennas_m" and len(hc) >= 2:
-        ee = [r.ee for r in hc]
-        ce = [r.ce for r in hc]
-        out.append(
-            {
-                "name": "ee-decreasing-in-antennas",
-                "passed": all(b < a for a, b in zip(ee, ee[1:])),
-                "detail": ee,
-            }
-        )
+        passed = all(b < a for a, b in zip(ee, ee[1:]))
+        out.append({"name": "ee-decreasing-in-antennas", "passed": passed, "detail": ee})
         spread = (max(ce) - min(ce)) / max(ce) if max(ce) > 0 else 0.0
         out.append({"name": "ce-flat-in-antennas", "passed": spread < 0.01, "detail": spread})
     # strategy ordering at each sweep value, when all three are present
@@ -164,6 +137,10 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     cfg_text = cfgmod.serialize_config(cfg)
+    try:  # read from the metadata: no run imports scipy, only the tests' oracles do
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     summary = {
         "config": asdict(cfg),
         "content_hash": _content_hash(cfg_text),
@@ -178,7 +155,7 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
         "diagnostics": [{"strategy": r.strategy, "engine": r.engine, "value": r.value, **r.diagnostics}
                         for r in rows if r.diagnostics],
         "toolchain": {"python": platform.python_version(), "numpy": np.__version__,
-                      "scipy": importlib.metadata.version("scipy"), "cpu_count": os.cpu_count()},
+                      "scipy": scipy_version, "cpu_count": os.cpu_count()},
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -272,21 +249,18 @@ def _cmd_sweep(args) -> int:
     engines = _ENGINE_NAMES[args.engine]
 
     t0 = time.time()
-    tasks, unique = [], {}
+    rows, done = [], {}
     for strategy in strategies:
         for engine in engines:
             for value in values:
                 updates = {_PARAM_TO_KEY[args.param]: int(value) if args.param == "antennas_m" else value}
                 point = replace(cfg, strategy=strategy, **updates)
                 scenario = cfgmod.to_scenario(point)
-                # equal keys are one computation (every ppp row of a delta sweep),
-                # merged before the pool so that no two threads compute one row
+                # equal keys are one computation (every ppp row of a delta sweep)
                 key = (engine, scenario, cfgmod.to_window(point))
-                unique.setdefault(key, (point, scenario, engine, args.param, value))
-                tasks.append((key, value))
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        done = dict(zip(unique, pool.map(lambda t: _compute_row(*t), unique.values())))
-    rows = [replace(done[key], value=float(value)) for key, value in tasks]
+                if key not in done:
+                    done[key] = _compute_row(point, scenario, engine, args.param, value)
+                rows.append(replace(done[key], value=float(value)))
     assertions = _trend_assertions(rows, args.param)
     _write_outputs(args.out, rows, cfg, assertions, time.time() - t0, gnuplot=args.gnuplot)
     failed = [a for a in assertions if not a["passed"]]

@@ -16,10 +16,9 @@ from .geometry import Window
 from .hcpp import HcppParams
 
 TRAFFIC_MODES = ("at-mean", "marginalized", "sampled")
-# the string keys and their allowed values; "none" diverges in every CLI run
+# the string keys and their allowed values
 _CHOICES = {
     "strategy": STRATEGIES,
-    "regularization": ("exclusion-ball", "min-distance"),
     "traffic_mode": TRAFFIC_MODES,
     "shadowing_convention": CONVENTIONS,
     "random_mode": RANDOM_MODES,
@@ -47,7 +46,6 @@ class RunConfig:
     realizations: int = 200
     seed: int = 1
     strategy: str = "matern"
-    regularization: str = "exclusion-ball"
     traffic_mode: str = "at-mean"
     shadowing_convention: str = "paper-moments"
     random_mode: str = "retain"  # 'retain' keeps stations w.p. zeta1/lambda_b, 'remove' 1 - that
@@ -127,7 +125,6 @@ def to_scenario(cfg: RunConfig) -> Scenario:
         traffic=TrafficModel(cfg.theta, cfg.rho_min),
         ues_per_cell=cfg.ues_per_cell_l,
         strategy=cfg.strategy,
-        regularization=cfg.regularization,
         random_mode=cfg.random_mode,
     )
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+import numpy.random  # numpy 2 loads it on first use, which would fall inside a run
 
 from .errors import ParameterError
+
+_ROUNDING = 8.0 * np.finfo(float).eps  # relative pad that covers the rounding of a row key
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,46 @@ def matern_ii_thin(points: np.ndarray, marks: np.ndarray, delta: float) -> np.nd
     pts = np.asarray(points, float)
     if delta == 0 or len(pts) < 2:
         return pts.copy()
-    pairs = cKDTree(pts).query_pairs(delta, output_type="ndarray")
+    i, j = _close_pairs(pts, delta)
+    m = np.asarray(marks)
+    # total order on (mark, index); the smaller of each conflicting pair dies
+    i_loses = (m[i] < m[j]) | ((m[i] == m[j]) & (i < j))
     keep = np.ones(len(pts), dtype=bool)
-    if len(pairs):
-        i, j = pairs.T
-        m = np.asarray(marks)
-        # total order on (mark, index); the smaller of each conflicting pair dies
-        i_loses = (m[i] < m[j]) | ((m[i] == m[j]) & (i < j))
-        keep[np.where(i_loses, i, j)] = False
+    keep[np.where(i_loses, i, j)] = False
     return pts[keep]
+
+
+def _close_pairs(pts: np.ndarray, delta: float):
+    """Indices (i, j) of every pair, once, of two or more points at most ``delta`` > 0 apart, by
+    the exact test dx^2 + dy^2 <= delta^2 of ``cKDTree.query_pairs``.  Sorted into rows a little
+    taller than delta by the key (row, x), a point's partners lie ahead of it in its row, or within
+    delta in x in the next row, left or right: ``searchsorted`` finds these windows, padded for
+    the keys' rounding, and each candidate is checked exactly.  One window at a time keeps the
+    temporaries small."""
+    x, y = pts[:, 0], pts[:, 1]
+    x0, y0 = x.min(), y.min()
+    width = 2.0 * (x.max() - x0) + 3.0 * delta  # holds a row's keys and a window past them
+    key = np.floor((y - y0) / (delta + _ROUNDING * (y.max() - y0 + delta))) * width + (x - x0)
+    order = np.argsort(key)
+    key = key[order]
+    pad = _ROUNDING * (key[-1] + width)
+    ps = pts[order]
+    ahead = np.searchsorted(key, key + (delta + pad), "right")
+    next_lo = np.searchsorted(key, key + (width - delta - pad))
+    next_mid = np.searchsorted(key, key + width)
+    next_hi = np.searchsorted(key, key + (width + delta + pad), "right")
+    i, j = [], []
+    for first, stop in ((np.arange(1, len(key) + 1), ahead), (next_lo, next_mid), (next_mid, next_hi)):
+        count = stop - first
+        cand = np.repeat(first - np.cumsum(count) + count, count)
+        cand += np.arange(len(cand))
+        d = ps.take(cand, axis=0)
+        d -= np.repeat(ps, count, axis=0)
+        d *= d
+        hit = np.flatnonzero(d[:, 0] + d[:, 1] <= delta * delta)
+        i.append(np.repeat(order, count).take(hit))
+        j.append(order.take(cand.take(hit)))
+    return np.concatenate(i), np.concatenate(j)
 
 
 def random_thin(points: np.ndarray, retain_prob: float, seed) -> np.ndarray:

@@ -30,6 +30,11 @@ CE_USERS = 16
 #: stations in the measurement region whose transmit power an EE realization measures
 POWER_STATIONS = 16
 
+# Allocated and freed at once: freeing a mapped 1 MB block raises glibc's malloc trim threshold
+# to 2 MB, so the few-hundred-kB arrays of each realization stop faulting their pages in again
+# after every heap trim (25-44k minor faults in a benchmark mc-sweep pass without it).
+np.empty(1 << 17)
+
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent per-realization stream; deterministic in (master, key)."""

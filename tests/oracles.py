@@ -31,6 +31,27 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     return float(d[:, 1].min())
 
 
+def matern_ii_thin_query_pairs(points: np.ndarray, marks: np.ndarray, delta: float) -> np.ndarray:
+    """``geometry.matern_ii_thin`` with its conflicting pairs found by
+    ``cKDTree.query_pairs``, as the package once ran it."""
+    if delta < 0:
+        raise ParameterError(f"delta must be >= 0, got {delta}")
+    if len(points) != len(marks):
+        raise ParameterError("points and marks must have equal length")
+    pts = np.asarray(points, float)
+    if delta == 0 or len(pts) < 2:
+        return pts.copy()
+    pairs = cKDTree(pts).query_pairs(delta, output_type="ndarray")
+    keep = np.ones(len(pts), dtype=bool)
+    if len(pairs):
+        i, j = pairs.T
+        m = np.asarray(marks)
+        # total order on (mark, index); the smaller of each conflicting pair dies
+        i_loses = (m[i] < m[j]) | ((m[i] == m[j]) & (i < j))
+        keep[np.where(i_loses, i, j)] = False
+    return pts[keep]
+
+
 @dataclass(frozen=True)
 class PairCorrelationEstimate:
     """Binned estimate of the second-order product density (units m^-4)."""

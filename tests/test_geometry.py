@@ -1,6 +1,7 @@
 import numpy as np
 import oracles
 import pytest
+from scipy.spatial import cKDTree
 
 from greencell import geometry
 from greencell.errors import ParameterError
@@ -82,6 +83,47 @@ def test_matern_tie_break_deterministic():
     # equal marks: the later index wins under the (mark, index) order
     assert len(out) == 1
     assert np.array_equal(out[0], pts[1])
+
+
+def _pair_codes(i, j, n):
+    """Sorted codes of unordered index pairs, one per pair found."""
+    return np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+
+
+def _lattice(spacing, offset, n=20):
+    g = np.arange(n) * spacing + offset
+    return np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+
+
+def test_matern_matches_query_pairs_thinning():
+    """The row-sorted pair search finds exactly the pairs of
+    ``cKDTree.query_pairs``, each once, and the thinning keeps the points the
+    query_pairs thinning keeps.  Kept points equal in order pin the keep mask
+    for distinct points; for duplicates the equal pair sets do."""
+    w = Window(1500.0, 600.0)  # the benchmark's sampling square, 1764 stations on average
+    cases = [(geometry.sample_ppp(1e-4, w, seed=s), d) for d in (150.0, 200.0, 250.0) for s in range(3)]
+    cases += [(geometry.sample_ppp(1e-4, w, seed=5), 0.5), (geometry.sample_ppp(1e-4, w, seed=6), 1000.0)]
+    # spacings of exactly delta, where the keys' rounding decides without the window pad
+    cases += [(_lattice(d, off), d) for off in (0.0, 1e6, -1e6) for d in (0.3, 0.7, 200.0)]
+    # a pair exactly delta apart whose rows round two apart without the row-height pad
+    cases.append((np.array([[0.0, -385.0941774370308], [0.0, 514.9058225629691], [0.0, 664.9058225629691]]), 150.0))
+    line = np.arange(50.0)
+    cases += [
+        (np.repeat([[1.0, 2.0], [1.5, 2.0], [9.0, 9.0]], 3, axis=0), 1.0),  # duplicate points
+        (np.stack([line, np.zeros(50)], axis=1), 2.0),  # one row
+        (np.stack([np.zeros(50), line], axis=1), 2.0),  # one column
+        (np.array([[0.0, 0.0], [3.0, 4.0]]), 5.0),  # two points, exactly delta apart
+        (np.array([[0.0, 0.0], [3.0, 4.0]]), 4.9),
+    ]
+    for k, (pts, delta) in enumerate(cases):
+        i, j = geometry._close_pairs(pts, delta)
+        want = cKDTree(pts).query_pairs(delta, output_type="ndarray")
+        assert np.array_equal(_pair_codes(i, j, len(pts)), _pair_codes(want[:, 0], want[:, 1], len(pts))), k
+        marks = _marks(pts, k)
+        kept = geometry.matern_ii_thin(pts, marks, delta)
+        assert np.array_equal(kept, oracles.matern_ii_thin_query_pairs(pts, marks, delta)), k
+    for pts in (np.zeros((0, 2)), np.array([[1.0, 2.0]])):  # no pair to search
+        assert np.array_equal(geometry.matern_ii_thin(pts, _marks(pts, 0), 1.0), pts)
 
 
 def test_matern_hard_core_and_subset():
