@@ -19,7 +19,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import numpy.ma  # np.unique loads it on first call, which would fall inside a run
 
 from . import hcpp
 from .channel import RadioParams, ShadowingModel, TrafficModel
@@ -37,14 +36,14 @@ PAIR_NODES = 96  # quadrature nodes of the station-pair power kernel, interpolat
 @lru_cache(maxsize=32)
 def _pair_table(model, alpha: float, hard_core: float):
     """(ln u_0, step, ln h, its differences) on 4098 uniform ln u for ``AnalyticEngine.pair_kernel``
-    per (hashable) nearest-distance model and alpha: 6-point Lagrange in s from ``PAIR_NODES``
-    quadratures, one at a time, at uniform s (README, Numerical notes)."""
+    per (hashable) nearest-distance model and alpha, at unit density for a Rayleigh law: 6-point
+    Lagrange in s from ``PAIR_NODES`` quadratures, one at a time, at uniform s (README, Numerical notes)."""
     r_sup = model.support_radius()
     u_lo = hard_core or 1e-4 * r_sup
     span, grade = np.log(1e2 * r_sup / u_lo), 2 if hard_core else 1
     y = np.empty(PAIR_NODES)
     for j, u in enumerate(u_lo * np.exp(span * np.linspace(0.0, 1.0, PAIR_NODES) ** grade)):
-        edges = np.unique(np.minimum([0.0, hard_core / 2.0, *(0.5 * u * 8.0 ** np.arange(6)), r_sup], r_sup))
+        edges = sorted(set(np.minimum([0.0, hard_core / 2.0, *(0.5 * u * 8.0 ** np.arange(6)), r_sup], r_sup).tolist()))
         r, w = _panelize(edges, _SMOOTH_NODES, _SMOOTH_WEIGHTS)
         psi_edges = np.stack([np.arccos(np.minimum(1.0, u / (2.0 * r))), np.full_like(r, np.pi)], axis=-1)
         psi, wpsi = _panelize(psi_edges, _SMOOTH_NODES, _SMOOTH_WEIGHTS)
@@ -298,7 +297,7 @@ class AnalyticEngine:
         r_sup = model.support_radius()
         delta = self._hard_core
         edges = (0.0, delta / 2.0, delta, 2.0 * delta, r_sup / 2.0, r_sup)
-        r, w = _panelize(np.unique([e for e in edges if e <= r_sup]), _GL32_NODES, _GL32_WEIGHTS)
+        r, w = _panelize(sorted({e for e in edges if e <= r_sup}), _GL32_NODES, _GL32_WEIGHTS)
         f = np.asarray(model.pdf(r), float)
         return r, w * f
 
@@ -329,10 +328,14 @@ class AnalyticEngine:
         to one user of a cell u away, over the nearest law's offset and a uniform angle, less
         the users nearer the station than their own.  Linear in ln u on ``_pair_table``
         (relative error <= 1e-4), beyond it its asymptotes u^(2 - alpha) and u^(-alpha): 0 at inf."""
-        x0, dx, y, dy = _pair_table(self.nearest_model, self.scenario.radio.alpha, self._hard_core)
+        model, alpha, ln_lam = self.nearest_model, self.scenario.radio.alpha, 0.0
+        if isinstance(model, hcpp.RayleighNearestModel):  # h_lam(u) = lam^(alpha/2) h_1(u sqrt(lam))
+            model, ln_lam = hcpp.RayleighNearestModel(1.0), np.log(model.intensity)
+        x0, dx, y, dy = _pair_table(model, alpha, self._hard_core)
+        y = y + 0.5 * alpha * ln_lam
         t = np.log(u2)  # in place from here: each temporary of a large u2 costs a pass
         t *= 0.5 / dx
-        t -= x0 / dx
+        t -= (x0 - 0.5 * ln_lam) / dx
         k = np.clip(t, 0.0, len(dy) - 1).astype(np.intp)  # the end segments extrapolate
         t -= k
         t *= dy[k]
@@ -424,6 +427,6 @@ class AnalyticEngine:
         lo = self.R_GRID_LO
         quads = lo * 4.0 ** np.arange(np.log(self.R_GRID_HI / lo) / np.log(4.0))
         breaks = [*quads, *self._hard_core * np.array(self.KINKS)]
-        r, wf = self.nearest_model.rule(np.unique([*(e for e in breaks if lo <= e < r_1), r_1]))
+        r, wf = self.nearest_model.rule(sorted({*(e for e in breaks if lo <= e < r_1), r_1}))
         rate = np.log2(1.0 + self.sinr_of_distance(r))
         return min(near + float((wf * (1.0 - t.ccdf(rate))).sum()), 1.0)

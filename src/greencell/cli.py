@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.metadata
 import json
 import math
 import os
@@ -137,10 +136,6 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     cfg_text = cfgmod.serialize_config(cfg)
-    try:  # read from the metadata: no run imports scipy, only the tests' oracles do
-        scipy_version = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        scipy_version = None
     summary = {
         "config": asdict(cfg),
         "content_hash": _content_hash(cfg_text),
@@ -154,8 +149,7 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
         "assertions": assertions,
         "diagnostics": [{"strategy": r.strategy, "engine": r.engine, "value": r.value, **r.diagnostics}
                         for r in rows if r.diagnostics],
-        "toolchain": {"python": platform.python_version(), "numpy": np.__version__,
-                      "scipy": scipy_version, "cpu_count": os.cpu_count()},
+        "toolchain": {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()},
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

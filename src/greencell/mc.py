@@ -14,7 +14,6 @@ decreases in distance (``MonotonicityError`` otherwise).
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +129,14 @@ def run_realization(engine: AnalyticEngine, window: Window, active: np.ndarray, 
     return rate, station_power(engine, window, active)
 
 
+def _fork(rng: np.random.Generator) -> np.random.Generator:
+    """A new generator that continues ``rng``'s stream from where it stands."""
+    bits = rng.bit_generator
+    fork = np.random.Generator(type(bits)(bits.seed_seq))  # seeding is overwritten by the state
+    fork.bit_generator.state = bits.state
+    return fork
+
+
 def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int, estimators) -> list:
     """Run ``(measure, reduce)`` estimators over the same ``n`` realizations.
 
@@ -145,7 +152,7 @@ def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int,
         rng = child_rng(master_seed, k)
         active = sample_active(scenario, window, rng)
         for j, (measure, _) in enumerate(estimators):
-            value = measure(active, rng if j == len(estimators) - 1 else copy.deepcopy(rng))
+            value = measure(active, rng if j == len(estimators) - 1 else _fork(rng))
             if value is not None:
                 kept[j].append(value)
     for values in kept:

@@ -12,7 +12,7 @@ from greencell.analytics import REGULARIZATIONS, AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel, TrafficModel
 from greencell.errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from greencell.hcpp import HcppParams, zeta1, zeta2
-from greencell.quadrature import gauss_hermite, gauss_legendre
+from greencell.quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
 
 PARAMS = HcppParams(1e-4, 200.0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -104,7 +104,7 @@ def flat_stretch(eng, r, c, p_exp, n_psi=128):
     """Full-circle integral over u in (c, 40c) of the flat second moment, on
     eight geometric 32-node Gauss-Legendre panels in u, with the circle average
     by the trapezoid rule in angle (exponentially accurate for u >= 2r)."""
-    x, w = gauss_legendre(32)
+    x, w = _GL32_NODES, _GL32_WEIGHTS
     edges = np.geomspace(c, 40.0 * c, 9)
     lo, hi = edges[:-1, None], edges[1:, None]
     u = (0.5 * (hi + lo) + 0.5 * (hi - lo) * x).ravel()
@@ -640,13 +640,17 @@ def _max_ulps(values, exact):
 
 
 @pytest.mark.parametrize(
-    "family, n, rule",
-    [("legendre", 32, gauss_legendre), ("legendre", 64, gauss_legendre), ("hermite", 96, gauss_hermite)],
+    "family, n, x, w",
+    [
+        ("legendre", 32, _GL32_NODES, _GL32_WEIGHTS),
+        ("legendre", 64, _GL_NODES, _GL_WEIGHTS),
+        ("hermite", 96, _GH_NODES, _GH_WEIGHTS),
+    ],
+    ids=["legendre-32", "legendre-64", "hermite-96"],
 )
-def test_gauss_rules_match_50_digit_oracle(family, n, rule):
-    # the analytic engine's fixed rules: nodes and weights correctly rounded
+def test_gauss_rules_match_50_digit_oracle(family, n, x, w):
+    # the analytic engine's shipped rules: nodes and weights correctly rounded
     # (<= 0.5 ulp); LAPACK-based rules miss by up to 1e4 ulp
-    x, w = rule(n)
     assert len(x) == n and np.all(np.diff(x) > 0) and np.all(x == -x[::-1])
     assert np.all(w == w[::-1])
     xs, ws = _oracle_rule(family, x)

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from greencell import cli, mc
 
@@ -157,27 +156,29 @@ def test_summary_records_toolchain(cfg_file, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["analytic", "--config", cfg_file, "--out", str(out)]) == 0
     toolchain = json.loads((out / "summary.json").read_text())["toolchain"]
-    assert set(toolchain) == {"python", "numpy", "scipy", "cpu_count"}
+    assert set(toolchain) == {"python", "numpy", "cpu_count"}
     assert toolchain["numpy"] == np.__version__
-    assert toolchain["scipy"] == scipy.__version__
     assert (out / "results.csv").read_text().splitlines()[0] == cli.CSV_HEADER
 
 
-def test_toolchain_without_scipy(cfg_file, tmp_path, monkeypatch):
-    # no run needs scipy; the record says so when it is not installed
-    version = cli.importlib.metadata.version
-
-    def lookup(dist):
-        if dist == "scipy":
-            raise cli.importlib.metadata.PackageNotFoundError(dist)
-        return version(dist)
-
-    monkeypatch.setattr(cli.importlib.metadata, "version", lookup)
-    out = tmp_path / "out"
-    assert cli.main(["analytic", "--config", cfg_file, "--out", str(out)]) == 0
-    toolchain = json.loads((out / "summary.json").read_text())["toolchain"]
-    assert toolchain["scipy"] is None
-    assert toolchain["numpy"] == np.__version__
+def test_cli_import_loads_only_what_a_run_needs():
+    # every CLI call pays for the import: after numpy's, it builds no Gauss rule
+    # (decimal), reads no package metadata (importlib.metadata, email) and
+    # loads neither numpy.ma nor scipy.  Modules loaded before the import, by
+    # numpy or by the interpreter's site, do not count.
+    script = (
+        "import sys\n"
+        "import numpy, numpy.random\n"
+        "before = set(sys.modules)\n"
+        "import greencell.cli\n"
+        "banned = ('decimal', 'numpy.ma', 'importlib.metadata', 'email', 'scipy')\n"
+        "new = sorted(m for m in set(sys.modules) - before if any(m == b or m.startswith(b + '.') for b in banned))\n"
+        "assert not new, f'greencell.cli loaded {new}'\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_config_key_exit_code(tmp_path):
