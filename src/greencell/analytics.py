@@ -159,15 +159,22 @@ class AnalyticEngine:
 
     # ---- spatial integrals -----------------------------------------------
 
-    def _radial_integral(self, r, p_exp: float):
-        """Integral of second_moment(|x|) * |x + x_int|^(-p_exp) over the plane,
-        with |x_int| = r, under the scenario's regularization.  Geometry is
-        centered on the serving station; ``u`` is the interferer's distance to
-        it and ``dist`` its distance to the user; ``none`` adds ``_disk_term``
-        to the exclusion-ball integral."""
+    def _radial_integral(self, r, p_exp):
+        """Integral of second_moment(|x|) * |x + x_int|^(-p) over the plane,
+        with |x_int| = r, under the scenario's regularization: one value per
+        radius for a number ``p_exp``, one row per exponent for a tuple, each
+        radius's geometry built once for all of them.  Geometry is centered
+        on the serving station; ``u`` is the interferer's distance to it and
+        ``dist`` its distance to the user; ``none`` adds ``_disk_term`` to the
+        exclusion-ball integral.  Diverges, and raises, for any p <= 2."""
+        ps = p_exp if isinstance(p_exp, tuple) else (p_exp,)
         r = np.atleast_1d(np.asarray(r, float))
         if np.any(r <= 0):
             raise ParameterError("serving distance must be > 0")
+        if min(ps) <= 2.0:
+            raise InterferenceDivergenceError(
+                f"plane integral of distance^-p diverges for p = {min(ps):g} <= 2 (transmit power: p = alpha)"
+            )
         mode, delta = self.scenario.regularization, self._hard_core
         if mode == "none" and delta == 0:
             raise InterferenceDivergenceError(
@@ -180,28 +187,31 @@ class AnalyticEngine:
                 f"{r[r >= delta][0]:g} m >= hard-core distance {delta:g} m"
             )
         if delta > 0:
-            out = np.array([self._exclusion_single(float(ri), p_exp) for ri in r])
+            out = np.empty((len(ps), r.size))
+            for i, ri in enumerate(r):
+                out[:, i] = self._exclusion_single(float(ri), ps)
         else:  # flat second moment: lambda_a^2 times the integral of dist^-p over dist >= r
-            out = self.active_density**2 * 2.0 * np.pi * r ** (2.0 - p_exp) / (p_exp - 2.0)
-        if mode == "exclusion-ball":
-            return out
-        return out + [self._disk_term(float(ri), p_exp) for ri in r]
+            out = np.array([self.active_density**2 * 2.0 * np.pi * r ** (2.0 - p) / (p - 2.0) for p in ps])
+        if mode == "none":
+            out = out + [[self._disk_term(float(ri), p) for ri in r] for p in ps]
+        return out if isinstance(p_exp, tuple) else out[0]
 
-    def _angular(self, u: np.ndarray, r: float, psi_min: np.ndarray, p_exp: float) -> np.ndarray:
-        """2 * integral over psi in [psi_min, pi] of dist^-p, per u node."""
+    def _angular(self, u: np.ndarray, r: float, psi_min: np.ndarray, ps: tuple) -> list:
+        """2 * integral over psi in [psi_min, pi] of dist^-p, per u node; one row per exponent."""
         edges = np.stack([psi_min, np.full_like(psi_min, np.pi)], axis=-1)
         psi, wpsi = _panelize(edges, _GL_NODES, _GL_WEIGHTS)
         dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * np.cos(psi)
-        return 2.0 * (wpsi * dist_sq ** (-p_exp / 2.0)).sum(axis=1)
+        return [2.0 * (wpsi * dist_sq ** (-p / 2.0)).sum(axis=1) for p in ps]
 
-    def _exclusion_single(self, r: float, p_exp: float) -> float:
+    def _exclusion_single(self, r: float, ps: tuple) -> np.ndarray:
         """Plane integral with the exclusion ball for a hard core delta > 0,
-        serving-station centered.  The allowed angular sector closes with a
-        square-root law at u = 2r, so that stretch is integrated in the
-        substituted variable u = 2r cos(beta), which is smooth; past
-        c = max(2 delta, 2r) the integral is ``_flat_tail``, in closed form."""
+        serving-station centered, at each exponent of ``ps``.  The allowed
+        angular sector closes with a square-root law at u = 2r, so that
+        stretch is integrated in the substituted variable u = 2r cos(beta),
+        which is smooth; past c = max(2 delta, 2r) the integral is
+        ``_flat_tail``, in closed form."""
         delta = self._hard_core
-        total = 0.0
+        total = np.zeros(len(ps))
         if delta < 2.0 * r:
             # region A: exclusion active, u in (delta, 2r)
             b_hi = np.arccos(delta / (2.0 * r))
@@ -211,30 +221,34 @@ class AnalyticEngine:
                     edges.add(float(np.arccos(u_split / (2.0 * r))))
             beta, wb = _panelize(sorted(e for e in edges if e <= b_hi), _GL32_NODES, _GL32_WEIGHTS)
             u = 2.0 * r * np.cos(beta)
-            jac = 2.0 * r * np.sin(beta)
-            k = self.second_moment(u)
-            total += float((wb * u * k * jac * self._angular(u, r, beta, p_exp)).sum())
+            w = wb * u * self.second_moment(u) * (2.0 * r * np.sin(beta))
+            total += [float((w * ang).sum()) for ang in self._angular(u, r, beta, ps)]
         # region B: full circle, u in (max(delta, 2r), c); empty for r >= delta
         lo, c = max(delta, 2.0 * r), max(2.0 * delta, 2.0 * r)
         if lo < c:
             edges = [lo, 1.5 * delta, c] if lo < 1.5 * delta else [lo, c]
             u, wu = _panelize(edges, _GL32_NODES, _GL32_WEIGHTS)
-            k = self.second_moment(u)
-            total += float((wu * u * k * self._angular(u, r, np.zeros_like(u), p_exp)).sum())
-        return total + self._flat_tail(r, c, p_exp)
+            w = wu * u * self.second_moment(u)
+            total += [float((w * ang).sum()) for ang in self._angular(u, r, np.zeros_like(u), ps)]
+        return total + [self._flat_tail(r, c, p) for p in ps]
+
+    @cached_property
+    def _flat_moment(self) -> float:
+        """The second moment at u >= 2 delta, where union_area is exactly 2 pi delta^2."""
+        return float(self.second_moment(2.0 * self._hard_core))
 
     def _flat_tail(self, r: float, c: float, p_exp: float) -> float:
         """The plane integral over u > c for c >= max(2 delta, 2r): there the
-        whole circle is allowed and the second moment is flat (union_area is
-        exactly 2 pi delta^2).  The circle average of dist^-p is
-        u^-p 2F1(p/2, p/2; 1; (r/u)^2), summed term by term after the u
-        integral; with x = (r/c)^2 <= 1/4 the series converges geometrically."""
+        whole circle is allowed and the second moment is ``_flat_moment``.
+        The circle average of dist^-p is u^-p 2F1(p/2, p/2; 1; (r/u)^2),
+        summed term by term after the u integral; with x = (r/c)^2 <= 1/4
+        the series converges geometrically."""
         x, a, k, series = (r / c) ** 2, 1.0, 0, 0.0
         while (term := a / (p_exp - 2.0 + 2.0 * k)) > 1e-17 * series:
             series += term
             a *= ((0.5 * p_exp + k) / (k + 1.0)) ** 2 * x
             k += 1
-        return float(self.second_moment(c)) * 2.0 * np.pi * c ** (2.0 - p_exp) * series
+        return self._flat_moment * 2.0 * np.pi * c ** (2.0 - p_exp) * series
 
     def _disk_term(self, r: float, p_exp: float) -> float:
         """Integral of second_moment(u) * s^-p over the disk s < r around the
@@ -263,26 +277,34 @@ class AnalyticEngine:
     def interference_base(self, r):
         """Average interference divided by M^2 (kept antenna-free so that the
         antenna count cancels bit-exactly in the noise-free SINR)."""
-        s = self.scenario
-        j = self._radial_integral(r, 2.0 * s.radio.alpha)
-        base = s.radio.p_f * s.radio.p_p * s.shadowing.moment(2) / self.active_density * j
+        base = self._base_of(self._radial_integral(r, 2.0 * self.scenario.radio.alpha))
         return base if np.ndim(r) else float(base[0])
+
+    def _base_of(self, j):
+        """``interference_base`` from the kernel at exponent 2 alpha."""
+        s = self.scenario
+        return s.radio.p_f * s.radio.p_p * s.shadowing.moment(2) / self.active_density * j
 
     def avg_interference(self, r_int):
         """Average interference power seen at serving distance ``r_int``."""
         m2 = float(self.scenario.radio.antennas_m) ** 2
         return m2 * self.interference_base(r_int)
 
-    def rate_lower_bound(self, r):
+    def _sinr_ratio(self, r, base, gain: float):
+        """m^2 P_f P_p gain r^(-2 alpha) / (m^2 base + N) per radius: the mean-interference
+        SINR at gain E[omega^2], its shadowing-free part at gain 1."""
+        s = self.scenario
+        m2 = float(s.radio.antennas_m) ** 2
+        return m2 * (s.radio.p_f * s.radio.p_p * gain * r ** (-2.0 * s.radio.alpha)) / (m2 * base + s.radio.noise_power)
+
+    def rate_lower_bound(self, r, base=None):
         """Jensen lower bound of the mean achievable rate at serving distance
         ``r``, averaging log2(1 + SINR(omega)) over the shadowing distribution
-        with the mean interference in the denominator."""
-        s = self.scenario
+        with the mean interference in the denominator; ``base`` is
+        ``interference_base(r)``, where the caller already holds it."""
         r_arr = np.atleast_1d(np.asarray(r, float))
-        base = self.interference_base(r_arr)
-        m2 = float(s.radio.antennas_m) ** 2
-        c = m2 * (s.radio.p_f * s.radio.p_p * r_arr ** (-2.0 * s.radio.alpha)) / (m2 * base + s.radio.noise_power)
-        ls = s.shadowing.log_std
+        c = self._sinr_ratio(r_arr, self.interference_base(r_arr) if base is None else base, 1.0)
+        ls = self.scenario.shadowing.log_std
         if ls == 0:
             out = np.log1p(c) / np.log(2.0)
         else:  # omega = e^s at the Gauss-Hermite s-values; ln(1 + omega^2 c) per node
@@ -292,35 +314,32 @@ class AnalyticEngine:
 
     @cached_property
     def _serving_grid(self):
-        """Serving-distance nodes and weight * pdf; not ``rule``, which moves ee by 1.44e-6."""
+        """Serving-distance nodes, weight * pdf, and the kernel there at 2 alpha (rate) and
+        alpha (transmit power) in one pass; not ``rule``, which moves ee by 1.44e-6."""
         model = self.nearest_model
         r_sup = model.support_radius()
         delta = self._hard_core
         edges = (0.0, delta / 2.0, delta, 2.0 * delta, r_sup / 2.0, r_sup)
         r, w = _panelize(sorted({e for e in edges if e <= r_sup}), _GL32_NODES, _GL32_WEIGHTS)
         f = np.asarray(model.pdf(r), float)
-        return r, w * f
+        alpha = self.scenario.radio.alpha
+        return r, w * f, *self._radial_integral(r, (2.0 * alpha, alpha))
 
     def avg_cell_rate(self) -> float:
         """Per-cell sum rate: K times the serving-distance average of the
         rate lower bound."""
         if self.scenario.ues_per_cell == 0:
             return 0.0
-        r, wf = self._serving_grid
-        return float(self.k_ue * (wf * self.rate_lower_bound(r)).sum())
+        r, wf, j_rate, _ = self._serving_grid
+        return float(self.k_ue * (wf * self.rate_lower_bound(r, self._base_of(j_rate))).sum())
 
     def avg_tx_power(self) -> float:
         """Mean per-station transmit power of the precoded downlink."""
         s = self.scenario
-        if s.radio.alpha <= 2.0:
-            raise InterferenceDivergenceError(
-                f"transmit-power integral diverges for alpha={s.radio.alpha} <= 2"
-            )
-        if self.scenario.ues_per_cell == 0:
+        if s.ues_per_cell == 0:
             return 0.0
-        r, wf = self._serving_grid
-        j = self._radial_integral(r, s.radio.alpha) / self.active_density
-        mean_j = float((wf * j).sum())
+        _, wf, _, j_power = self._serving_grid
+        mean_j = float((wf * (j_power / self.active_density)).sum())
         return s.radio.antennas_m * s.radio.p_p * self.k_ue * s.shadowing.moment(1) * mean_j
 
     def pair_kernel(self, u2):
@@ -360,12 +379,8 @@ class AnalyticEngine:
 
     def sinr_of_distance(self, r):
         """Mean-interference SINR as a deterministic function of distance."""
-        s = self.scenario
         r_arr = np.atleast_1d(np.asarray(r, float))
-        base = self.interference_base(r_arr)
-        m2 = float(s.radio.antennas_m) ** 2
-        num = m2 * (s.radio.p_f * s.radio.p_p * s.shadowing.moment(2) * r_arr ** (-2.0 * s.radio.alpha))
-        out = num / (m2 * base + s.radio.noise_power)
+        out = self._sinr_ratio(r_arr, self.interference_base(r_arr), self.scenario.shadowing.moment(2))
         return out if np.ndim(r) else float(out[0])
 
     @cached_property

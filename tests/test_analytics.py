@@ -130,8 +130,9 @@ def test_matern_far_field_vs_panel_oracle(delta, p):
 
 
 def test_kernel_quadrature_cost(monkeypatch):
-    # matern: at most four 32-node panels and one flat value per radius;
-    # ppp and random: the closed form, with no panel and no second-moment call
+    # matern: at most four 32-node panels per radius and one flat value per
+    # engine; ppp and random: the closed form, with no panel and no
+    # second-moment call
     points = []
     moment = AnalyticEngine.second_moment
 
@@ -141,10 +142,12 @@ def test_kernel_quadrature_cost(monkeypatch):
 
     monkeypatch.setattr(AnalyticEngine, "second_moment", counted)
     eng = _engine("matern", "exclusion-ball")
+    eng._flat_moment
+    assert points == [1]
     for r in (0.5, 10.0, 99.0, 101.0, 149.0, 151.0, 199.0, 201.0, 399.0, 401.0, 6000.0):
         points.clear()
         eng._radial_integral(r, 8.0)
-        assert 1 + 32 <= sum(points) <= 1 + 4 * 32
+        assert 32 <= sum(points) <= 4 * 32
 
     def no_panels(*args):
         raise AssertionError("_panelize reached")
@@ -344,6 +347,61 @@ def test_pair_kernel_matches_quadrature_oracle(strategy, u):
     eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
     h = float(eng.pair_kernel(np.array([u * u]))[0])
     assert abs(h * u**eng.scenario.radio.alpha / oracles.scaled_pair_kernel(eng, u) - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "convention, watts, ee",
+    [("paper-moments", 48.710214410214085, 5.060298533740186e-06), ("db-std", 1.926569513891786e-06, 15.645307189495375)],
+)
+def test_matern_tx_power_and_ee_pinned(convention, watts, ee):
+    # to the bit at defaults: the benchmark gates ee only to 1e-6
+    eng = AnalyticEngine(Scenario(PARAMS, shadowing=ShadowingModel(6.0, convention)))
+    assert eng.avg_tx_power() == watts
+    assert eng.energy_efficiency() == ee
+
+
+@pytest.mark.parametrize(
+    "strategy, regularization, radii",
+    [
+        ("matern", "exclusion-ball", [0.5, 99.0, 100.0, 101.0, 199.0, 200.0, 201.0, 399.0, 400.0, 401.0, 500.0, 510.0]),
+        ("matern", "none", [1.0, 99.0, 100.0, 101.0, 199.0]),
+        ("ppp", "exclusion-ball", [0.5, 50.0, 400.0, 6000.0]),
+        ("random", "exclusion-ball", [0.5, 50.0, 400.0, 6000.0]),
+    ],
+)
+def test_exponent_tuple_matches_single_exponent_calls(strategy, regularization, radii):
+    # one row per exponent, each the single-exponent call's array bit for bit;
+    # matern's radii straddle delta/2, delta, 2 delta and r_sup / 2 (506 m)
+    eng = _engine(strategy, regularization)
+    r = np.array(radii)
+    rows = eng._radial_integral(r, (8.0, 4.0, 3.0))
+    assert rows.shape == (3, r.size)
+    for row, p in zip(rows, (8.0, 4.0, 3.0)):
+        assert np.array_equal(row, eng._radial_integral(r, p))
+
+
+def test_energy_efficiency_runs_the_kernel_once_per_serving_node(monkeypatch):
+    # rate (2 alpha) and transmit power (alpha) share one pass over each node
+    calls = []
+    single = AnalyticEngine._exclusion_single
+
+    def counted(self, r, ps):
+        calls.append(ps)
+        return single(self, r, ps)
+
+    monkeypatch.setattr(AnalyticEngine, "_exclusion_single", counted)
+    eng = AnalyticEngine(Scenario(PARAMS))
+    assert eng.energy_efficiency() > 0
+    assert len(calls) == eng._serving_grid[0].size == 160
+    assert set(calls) == {(8.0, 4.0)}
+
+
+@pytest.mark.parametrize("strategy", ["matern", "ppp"])
+@pytest.mark.parametrize("p_exp", [1.5, 2.0, (8.0, 2.0)])
+def test_kernel_refuses_exponents_at_or_below_two(strategy, p_exp):
+    eng = _engine(strategy, "exclusion-ball")
+    with pytest.raises(InterferenceDivergenceError):
+        eng._radial_integral(100.0, p_exp)
 
 
 def test_tx_power_divergence_at_low_alpha():

@@ -370,12 +370,15 @@ def test_compare_rejects_non_finite_probe_distance(cfg_file, tmp_path, capsys, r
 
 
 def test_compare_reports_analytic_divergence_as_error(tmp_path, capsys):
-    # the transmit-power integral diverges at alpha = 2: an error line, not a traceback
+    # the transmit-power integral (the kernel at p = alpha) diverges at alpha = 2:
+    # an error line, not a traceback
     path = tmp_path / "run.cfg"
     path.write_text(FAST_CFG.replace("realizations=40", "realizations=4") + "alpha=2\n")
     assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: InterferenceDivergenceError: transmit-power integral diverges")
+    assert err.startswith(
+        "error: InterferenceDivergenceError: plane integral of distance^-p diverges for p = 2 <= 2 (transmit power"
+    )
     assert "Traceback" not in err
 
 
