@@ -31,6 +31,8 @@ STRATEGIES = ("ppp", "matern", "random")
 REGULARIZATIONS = ("exclusion-ball", "none")
 RANDOM_MODES = ("retain", "remove")
 PAIR_NODES = 96  # quadrature nodes of the station-pair power kernel, interpolated onto 4096 in ln u
+# cos psi and weights of the 64-node rule on [0, pi], as ``_panelize`` maps it, shared by all full-circle nodes
+_CIRCLE_COS, _CIRCLE_W = np.cos(0.5 * np.pi + 0.5 * np.pi * _GL_NODES), 0.5 * np.pi * _GL_WEIGHTS
 
 
 @lru_cache(maxsize=32)
@@ -108,6 +110,8 @@ class AnalyticEngine:
     R_GRID_N = 40
     #: kinks of SINR(r), where the kernel's panels start, in units of the hard core
     KINKS = (0.5, 0.75, 1.0, 2.0)
+    #: radii per pass of the hard-core kernel, which bounds its node arrays
+    KERNEL_CHUNK = 32
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -165,8 +169,8 @@ class AnalyticEngine:
         radius for a number ``p_exp``, one row per exponent for a tuple, each
         radius's geometry built once for all of them.  Geometry is centered
         on the serving station; ``u`` is the interferer's distance to it and
-        ``dist`` its distance to the user; ``none`` adds ``_disk_term`` to the
-        exclusion-ball integral.  Diverges, and raises, for any p <= 2."""
+        ``dist`` its distance to the user; a hard core runs ``KERNEL_CHUNK`` radii
+        per ``_exclusion`` call, ``none`` adds ``_disk_term``.  Diverges, and raises, for any p <= 2."""
         ps = p_exp if isinstance(p_exp, tuple) else (p_exp,)
         r = np.atleast_1d(np.asarray(r, float))
         if np.any(r <= 0):
@@ -188,48 +192,64 @@ class AnalyticEngine:
             )
         if delta > 0:
             out = np.empty((len(ps), r.size))
-            for i, ri in enumerate(r):
-                out[:, i] = self._exclusion_single(float(ri), ps)
+            for i in range(0, r.size, self.KERNEL_CHUNK):
+                out[:, i : i + self.KERNEL_CHUNK] = self._exclusion(r[i : i + self.KERNEL_CHUNK], ps)
         else:  # flat second moment: lambda_a^2 times the integral of dist^-p over dist >= r
             out = np.array([self.active_density**2 * 2.0 * np.pi * r ** (2.0 - p) / (p - 2.0) for p in ps])
         if mode == "none":
             out = out + [[self._disk_term(float(ri), p) for ri in r] for p in ps]
         return out if isinstance(p_exp, tuple) else out[0]
 
-    def _angular(self, u: np.ndarray, r: float, psi_min: np.ndarray, ps: tuple) -> list:
-        """2 * integral over psi in [psi_min, pi] of dist^-p, per u node; one row per exponent."""
-        edges = np.stack([psi_min, np.full_like(psi_min, np.pi)], axis=-1)
-        psi, wpsi = _panelize(edges, _GL_NODES, _GL_WEIGHTS)
-        dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * np.cos(psi)
+    @staticmethod
+    def _angular(u: np.ndarray, r: float, psi_min: np.ndarray | None, ps: tuple) -> list:
+        """2 * integral over psi in [psi_min, pi] of dist^-p, per u node; one row per exponent.
+        ``psi_min`` None is the full circle, on one rule shared by every node."""
+        if psi_min is None:
+            cos_psi, wpsi = _CIRCLE_COS, _CIRCLE_W
+        else:
+            edges = np.stack([psi_min, np.full_like(psi_min, np.pi)], axis=-1)
+            cos_psi, wpsi = _panelize(edges, _GL_NODES, _GL_WEIGHTS)
+            np.cos(cos_psi, out=cos_psi)
+        dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * cos_psi
         return [2.0 * (wpsi * dist_sq ** (-p / 2.0)).sum(axis=1) for p in ps]
 
-    def _exclusion_single(self, r: float, ps: tuple) -> np.ndarray:
-        """Plane integral with the exclusion ball for a hard core delta > 0,
-        serving-station centered, at each exponent of ``ps``.  The allowed
-        angular sector closes with a square-root law at u = 2r, so that
-        stretch is integrated in the substituted variable u = 2r cos(beta),
-        which is smooth; past c = max(2 delta, 2r) the integral is
-        ``_flat_tail``, in closed form."""
+    def _exclusion(self, r: np.ndarray, ps: tuple) -> np.ndarray:
+        """Plane integral with the exclusion ball for a hard core delta > 0, serving-station
+        centered: one row per exponent, one column per radius.  The allowed angular sector closes
+        with a square-root law at u = 2r, so that stretch is integrated in the smooth substituted
+        variable u = 2r cos(beta); past c = max(2 delta, 2r) the integral is ``_flat_tail``.  Radii
+        with as many panels share a ``_panelize`` call, all radii one ``second_moment`` call."""
         delta = self._hard_core
-        total = np.zeros(len(ps))
-        if delta < 2.0 * r:
-            # region A: exclusion active, u in (delta, 2r)
-            b_hi = np.arccos(delta / (2.0 * r))
-            edges = {0.0, b_hi}
-            for u_split in (r, delta, 1.5 * delta, 2.0 * delta):
-                if 0.0 < u_split < 2.0 * r:
-                    edges.add(float(np.arccos(u_split / (2.0 * r))))
-            beta, wb = _panelize(sorted(e for e in edges if e <= b_hi), _GL32_NODES, _GL32_WEIGHTS)
-            u = 2.0 * r * np.cos(beta)
-            w = wb * u * self.second_moment(u) * (2.0 * r * np.sin(beta))
-            total += [float((w * ang).sum()) for ang in self._angular(u, r, beta, ps)]
-        # region B: full circle, u in (max(delta, 2r), c); empty for r >= delta
-        lo, c = max(delta, 2.0 * r), max(2.0 * delta, 2.0 * r)
-        if lo < c:
-            edges = [lo, 1.5 * delta, c] if lo < 1.5 * delta else [lo, c]
-            u, wu = _panelize(edges, _GL32_NODES, _GL32_WEIGHTS)
-            w = wu * u * self.second_moment(u)
-            total += [float((w * ang).sum()) for ang in self._angular(u, r, np.zeros_like(u), ps)]
+        blocks = []  # (radii, u, weight, beta) per panel count; beta None on the full circle
+        # region A: exclusion active, u in (delta, 2r), in beta up to b_hi = arccos(delta / 2r),
+        # broken where u = r, delta, 1.5 delta or 2 delta; the edges of each radius sorted, as a set
+        ia = np.flatnonzero(delta < 2.0 * r)
+        two_r = 2.0 * r[ia, None]
+        u_split = np.column_stack([r[ia], np.repeat([[delta, 1.5 * delta, 2.0 * delta]], ia.size, axis=0)])
+        cuts = np.where(u_split < two_r, np.arccos(np.minimum(u_split / two_r, 1.0)), np.inf)
+        rows = [sorted({0.0, *(e for e in row if e <= row[1])}) for row in cuts.tolist()]  # row[1] is b_hi
+        count = np.array([len(row) for row in rows])
+        for k in set(count.tolist()):
+            beta, wb = _panelize([row for row in rows if len(row) == k], _GL32_NODES, _GL32_WEIGHTS)
+            g = count == k
+            u = two_r[g] * np.cos(beta)
+            blocks.append((ia[g], u, wb, beta))
+        # region B: full circle, u in (max(delta, 2r), c), broken at 1.5 delta; empty for r >= delta
+        lo, c = np.maximum(delta, 2.0 * r), np.maximum(2.0 * delta, 2.0 * r)
+        three = lo < 1.5 * delta
+        for g, cols in ((three, (lo, np.full_like(lo, 1.5 * delta), c)), (~three & (lo < c), (lo, c))):
+            if g.any():
+                u, wu = _panelize(np.stack(cols, axis=-1)[g], _GL32_NODES, _GL32_WEIGHTS)
+                blocks.append((np.flatnonzero(g), u, wu, None))
+        moment = self.second_moment(np.concatenate([b[1].ravel() for b in blocks]))
+        total, at = np.zeros((len(ps), r.size)), 0
+        for radii, u, w, beta in blocks:
+            w, at = w * u * moment[at : at + u.size].reshape(u.shape), at + u.size
+            if beta is not None:  # the Jacobian of u = 2r cos(beta)
+                w *= 2.0 * r[radii, None] * np.sin(beta)
+            for j, i in enumerate(radii):
+                angular = self._angular(u[j], float(r[i]), None if beta is None else beta[j], ps)
+                total[:, i] += [float((w[j] * ang).sum()) for ang in angular]
         return total + [self._flat_tail(r, c, p) for p in ps]
 
     @cached_property
@@ -237,18 +257,25 @@ class AnalyticEngine:
         """The second moment at u >= 2 delta, where union_area is exactly 2 pi delta^2."""
         return float(self.second_moment(2.0 * self._hard_core))
 
-    def _flat_tail(self, r: float, c: float, p_exp: float) -> float:
-        """The plane integral over u > c for c >= max(2 delta, 2r): there the
-        whole circle is allowed and the second moment is ``_flat_moment``.
-        The circle average of dist^-p is u^-p 2F1(p/2, p/2; 1; (r/u)^2),
-        summed term by term after the u integral; with x = (r/c)^2 <= 1/4
-        the series converges geometrically."""
-        x, a, k, series = (r / c) ** 2, 1.0, 0, 0.0
-        while (term := a / (p_exp - 2.0 + 2.0 * k)) > 1e-17 * series:
-            series += term
-            a *= ((0.5 * p_exp + k) / (k + 1.0)) ** 2 * x
-            k += 1
-        return self._flat_moment * 2.0 * np.pi * c ** (2.0 - p_exp) * series
+    def _flat_tail(self, r, c, p_exp: float) -> np.ndarray:
+        """The plane integral over u > c for c >= max(2 delta, 2r), per radius with its c: there the
+        whole circle is allowed and the second moment is ``_flat_moment``.  The circle average of
+        dist^-p is u^-p 2F1(p/2, p/2; 1; (r/u)^2), summed term by term after the u integral; with
+        x = (r/c)^2 <= 1/4 the series converges geometrically, each radius's to its own last term."""
+        r, c = np.atleast_1d(r).tolist(), np.atleast_1d(c).tolist()
+        x = np.array([(ri / ci) ** 2 for ri, ci in zip(r, c)])
+        series, live, a, s, k = np.empty_like(x), np.arange(x.size), np.ones_like(x), np.zeros_like(x), 0
+        while live.size:  # 64 terms at a time: running products and sums, each in the order of a loop
+            ks = range(k, k + 64)
+            step = [((0.5 * p_exp + j) / (j + 1.0)) ** 2 for j in ks] * x[live, None]
+            a_k = np.cumprod(np.column_stack([a, step]), axis=1)
+            term = a_k[:, :-1] / [p_exp - 2.0 + 2.0 * j for j in ks]
+            s_k = np.cumsum(np.column_stack([s, term]), axis=1)
+            stop = ~(term > 1e-17 * s_k[:, :-1])
+            done = stop.any(axis=1)
+            series[live[done]] = s_k[done, stop[done].argmax(axis=1)]
+            live, a, s, k = live[~done], a_k[~done, -1], s_k[~done, -1], k + 64
+        return self._flat_moment * 2.0 * np.pi * np.array([ci ** (2.0 - p_exp) for ci in c]) * series
 
     def _disk_term(self, r: float, p_exp: float) -> float:
         """Integral of second_moment(u) * s^-p over the disk s < r around the

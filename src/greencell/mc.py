@@ -71,8 +71,10 @@ def _mc_estimate(values: np.ndarray) -> McEstimate:
 
 def _sq_distances(stations, users) -> np.ndarray:
     """Squared distances from every user (rows) to every station (columns)."""
-    d2 = (stations[None, :, 0] - users[:, None, 0]) ** 2
-    d2 += (stations[None, :, 1] - users[:, None, 1]) ** 2
+    d2 = stations[None, :, 0] - users[:, None, 0]
+    dy = stations[None, :, 1] - users[:, None, 1]
+    np.square(d2, out=d2)  # in place: a block may hold users x stations
+    d2 += np.square(dy, out=dy)
     return d2
 
 
@@ -87,11 +89,16 @@ def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min
     rows = np.arange(len(users))
     if serving_idx is None:
         serving_idx = d2.argmin(axis=1)
+    near = d2 < r_min**2 if r_min > 0 else None
     if rng is None:
         omega2 = scenario.shadowing.moment(2)
     else:
-        omega2 = scenario.shadowing.sample_with(rng, size=d2.shape) ** 2
-    gain = np.where(d2 >= r_min**2, omega2 * d2 ** (-scenario.radio.alpha), 0.0)
+        omega2 = scenario.shadowing.sample_with(rng, size=d2.shape)
+        np.square(omega2, out=omega2)
+    gain = np.power(d2, -scenario.radio.alpha, out=d2)  # in place: the block is users x stations
+    gain *= omega2
+    if near is not None:
+        gain[near] = 0.0
     own = gain[rows, serving_idx]
     gain[rows, serving_idx] = 0.0
     return own, gain.sum(axis=1)

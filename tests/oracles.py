@@ -11,6 +11,7 @@ from scipy.spatial import cKDTree
 from greencell import geometry, mc
 from greencell.errors import ParameterError
 from greencell.geometry import Window
+from greencell.quadrature import _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
 from greencell.quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize
 
 
@@ -149,6 +150,60 @@ def coverage_change_of_variables(engine, rho: float) -> float:
     r = np.array([engine.invert_sinr(g).r for g in np.exp(x).tolist()])
     val = (w * np.exp(x) * engine.nearest_model.pdf(r) / np.abs(sinr_slope(engine, r))).sum()
     return min(float(val) + engine.nearest_model.cdf(engine.R_GRID_LO), 1.0)
+
+
+def _angular(u: np.ndarray, r: float, psi_min: np.ndarray, ps: tuple) -> list:
+    """2 * integral over psi in [psi_min, pi] of dist^-p, per u node; one row per exponent."""
+    edges = np.stack([psi_min, np.full_like(psi_min, np.pi)], axis=-1)
+    psi, wpsi = _panelize(edges, _GL_NODES, _GL_WEIGHTS)
+    dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * np.cos(psi)
+    return [2.0 * (wpsi * dist_sq ** (-p / 2.0)).sum(axis=1) for p in ps]
+
+
+def exclusion_single(engine, r: float, ps: tuple) -> np.ndarray:
+    """``AnalyticEngine._radial_integral`` for one radius, hard core delta > 0 and
+    ``exclusion-ball``, as the package once computed it, one radius at a time:
+    each radius builds its own panels, calls ``second_moment`` and sums its
+    own series.  Plane integral with the exclusion ball, serving-station
+    centered, at each exponent of ``ps``.  The allowed angular sector closes
+    with a square-root law at u = 2r, so that stretch is integrated in the
+    substituted variable u = 2r cos(beta), which is smooth; past
+    c = max(2 delta, 2r) the integral is ``flat_tail_single``, in closed form."""
+    delta = engine._hard_core
+    total = np.zeros(len(ps))
+    if delta < 2.0 * r:
+        # region A: exclusion active, u in (delta, 2r)
+        b_hi = np.arccos(delta / (2.0 * r))
+        edges = {0.0, b_hi}
+        for u_split in (r, delta, 1.5 * delta, 2.0 * delta):
+            if 0.0 < u_split < 2.0 * r:
+                edges.add(float(np.arccos(u_split / (2.0 * r))))
+        beta, wb = _panelize(sorted(e for e in edges if e <= b_hi), _GL32_NODES, _GL32_WEIGHTS)
+        u = 2.0 * r * np.cos(beta)
+        w = wb * u * engine.second_moment(u) * (2.0 * r * np.sin(beta))
+        total += [float((w * ang).sum()) for ang in _angular(u, r, beta, ps)]
+    # region B: full circle, u in (max(delta, 2r), c); empty for r >= delta
+    lo, c = max(delta, 2.0 * r), max(2.0 * delta, 2.0 * r)
+    if lo < c:
+        edges = [lo, 1.5 * delta, c] if lo < 1.5 * delta else [lo, c]
+        u, wu = _panelize(edges, _GL32_NODES, _GL32_WEIGHTS)
+        w = wu * u * engine.second_moment(u)
+        total += [float((w * ang).sum()) for ang in _angular(u, r, np.zeros_like(u), ps)]
+    return total + [flat_tail_single(engine, r, c, p) for p in ps]
+
+
+def flat_tail_single(engine, r: float, c: float, p_exp: float) -> float:
+    """The plane integral over u > c for c >= max(2 delta, 2r): there the
+    whole circle is allowed and the second moment is ``_flat_moment``.
+    The circle average of dist^-p is u^-p 2F1(p/2, p/2; 1; (r/u)^2),
+    summed term by term after the u integral; with x = (r/c)^2 <= 1/4
+    the series converges geometrically."""
+    x, a, k, series = (r / c) ** 2, 1.0, 0, 0.0
+    while (term := a / (p_exp - 2.0 + 2.0 * k)) > 1e-17 * series:
+        series += term
+        a *= ((0.5 * p_exp + k) / (k + 1.0)) ** 2 * x
+        k += 1
+    return engine._flat_moment * 2.0 * np.pi * c ** (2.0 - p_exp) * series
 
 
 def mean_interference_ce_estimator(engine, window: Window):

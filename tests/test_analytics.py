@@ -148,6 +148,13 @@ def test_kernel_quadrature_cost(monkeypatch):
         points.clear()
         eng._radial_integral(r, 8.0)
         assert 32 <= sum(points) <= 4 * 32
+    # a vector call: one second-moment call per chunk of radii
+    r = np.geomspace(0.5, 6000.0, 75)
+    points.clear()
+    eng._radial_integral(r, (8.0, 4.0))
+    chunks = [r[i : i + eng.KERNEL_CHUNK].size for i in range(0, r.size, eng.KERNEL_CHUNK)]
+    assert len(points) == len(chunks) == 3
+    assert all(32 * n <= got <= 4 * 32 * n for got, n in zip(points, chunks))
 
     def no_panels(*args):
         raise AssertionError("_panelize reached")
@@ -381,19 +388,45 @@ def test_exponent_tuple_matches_single_exponent_calls(strategy, regularization, 
 
 
 def test_energy_efficiency_runs_the_kernel_once_per_serving_node(monkeypatch):
-    # rate (2 alpha) and transmit power (alpha) share one pass over each node
+    # rate (2 alpha) and transmit power (alpha) share one kernel call over all nodes
     calls = []
-    single = AnalyticEngine._exclusion_single
+    kernel = AnalyticEngine._radial_integral
 
-    def counted(self, r, ps):
-        calls.append(ps)
-        return single(self, r, ps)
+    def counted(self, r, p_exp):
+        calls.append((np.size(r), p_exp))
+        return kernel(self, r, p_exp)
 
-    monkeypatch.setattr(AnalyticEngine, "_exclusion_single", counted)
+    monkeypatch.setattr(AnalyticEngine, "_radial_integral", counted)
     eng = AnalyticEngine(Scenario(PARAMS))
     assert eng.energy_efficiency() > 0
-    assert len(calls) == eng._serving_grid[0].size == 160
-    assert set(calls) == {(8.0, 4.0)}
+    assert calls == [(eng._serving_grid[0].size, (8.0, 4.0))]
+    assert eng._serving_grid[0].size == 160
+
+
+def test_flat_tail_matches_per_radius_series(matern_engine):
+    # each radius's series stops at its own term, also past the first 64 (p = 60 needs up to 94)
+    r = np.geomspace(1.0, 400.0, 50)
+    c = np.full_like(r, 800.0)
+    for p in (3.0, 8.0, 60.0):
+        ref = [oracles.flat_tail_single(matern_engine, ri, ci, p) for ri, ci in zip(r.tolist(), c.tolist())]
+        assert np.array_equal(matern_engine._flat_tail(r, c, p), ref)
+
+
+@pytest.mark.parametrize("lam", [2e-5, 1e-4, 4e-4])
+@pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0, 4.7])
+@pytest.mark.parametrize("delta", [50.0, 200.0, 333.3])
+def test_kernel_matches_per_radius_oracle(lam, alpha, delta):
+    # bit for bit against the kernel run one radius at a time; radii from 0.3 m to 8 km
+    # and at delta * {1/4, ..., 3}, shuffled so that each chunk mixes panel counts
+    eng = AnalyticEngine(Scenario(HcppParams(lam, delta), radio=RadioParams(alpha=alpha)))
+    near = delta * np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+    r = np.random.default_rng(22).permutation(np.concatenate([np.geomspace(0.3, 8000.0, 350), near]))
+    ps = (2.0 * alpha, alpha, 3.0)
+    ref = np.array([oracles.exclusion_single(eng, ri, ps) for ri in r.tolist()]).T
+    assert np.array_equal(eng._radial_integral(r, ps), ref)
+    for n in (0, 1, 33, 300):
+        assert np.array_equal(eng._radial_integral(r[:n], ps[:2]), ref[:2, :n])
+        assert np.array_equal(eng._radial_integral(r[:n], ps[2:]), ref[2:, :n])
 
 
 @pytest.mark.parametrize("strategy", ["matern", "ppp"])
