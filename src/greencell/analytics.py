@@ -24,15 +24,15 @@ from . import hcpp
 from .channel import RadioParams, ShadowingModel, TrafficModel
 from .errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from .hcpp import HcppParams
-from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
+from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS
 from .quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize, regula_falsi
 
 STRATEGIES = ("ppp", "matern", "random")
 REGULARIZATIONS = ("exclusion-ball", "none")
 RANDOM_MODES = ("retain", "remove")
 PAIR_NODES = 96  # quadrature nodes of the station-pair power kernel, interpolated onto 4096 in ln u
-# cos psi and weights of the 64-node rule on [0, pi], as ``_panelize`` maps it, shared by all full-circle nodes
-_CIRCLE_COS, _CIRCLE_W = np.cos(0.5 * np.pi + 0.5 * np.pi * _GL_NODES), 0.5 * np.pi * _GL_WEIGHTS
+# cos psi and weights of the 32-node rule on [0, pi], as ``_panelize`` maps it, shared by all full-circle nodes
+_CIRCLE_COS, _CIRCLE_W = np.cos(0.5 * np.pi + 0.5 * np.pi * _GL32_NODES), 0.5 * np.pi * _GL32_WEIGHTS
 
 
 @lru_cache(maxsize=32)
@@ -57,6 +57,16 @@ def _pair_table(model, alpha: float, hard_core: float):
     step = span / 4095  # one node more at each end, on the asymptotes u^(2 - alpha) and u^(-alpha)
     ln_h = np.concatenate([[ln_h[0] - (2.0 - alpha) * step], ln_h, [ln_h[-1] - alpha * step]])
     return np.log(u_lo) - step, step, ln_h, np.diff(ln_h)
+
+
+@lru_cache(maxsize=64)
+def _series_block(p_exp: float, k: int):
+    """Term ratios ((p/2 + j) / (j + 1))^2 and divisors p - 2 + 2j of ``_flat_tail``'s series
+    for j in [k, k + 64), built once per exponent and block (read-only)."""
+    ks = range(k, k + 64)
+    rows = np.array([[((0.5 * p_exp + j) / (j + 1.0)) ** 2 for j in ks], [p_exp - 2.0 + 2.0 * j for j in ks]])
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -208,7 +218,7 @@ class AnalyticEngine:
             cos_psi, wpsi = _CIRCLE_COS, _CIRCLE_W
         else:
             edges = np.stack([psi_min, np.full_like(psi_min, np.pi)], axis=-1)
-            cos_psi, wpsi = _panelize(edges, _GL_NODES, _GL_WEIGHTS)
+            cos_psi, wpsi = _panelize(edges, _GL32_NODES, _GL32_WEIGHTS)
             np.cos(cos_psi, out=cos_psi)
         dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * cos_psi
         return [2.0 * (wpsi * dist_sq ** (-p / 2.0)).sum(axis=1) for p in ps]
@@ -266,10 +276,9 @@ class AnalyticEngine:
         x = np.array([(ri / ci) ** 2 for ri, ci in zip(r, c)])
         series, live, a, s, k = np.empty_like(x), np.arange(x.size), np.ones_like(x), np.zeros_like(x), 0
         while live.size:  # 64 terms at a time: running products and sums, each in the order of a loop
-            ks = range(k, k + 64)
-            step = [((0.5 * p_exp + j) / (j + 1.0)) ** 2 for j in ks] * x[live, None]
-            a_k = np.cumprod(np.column_stack([a, step]), axis=1)
-            term = a_k[:, :-1] / [p_exp - 2.0 + 2.0 * j for j in ks]
+            ratio, divisor = _series_block(p_exp, k)
+            a_k = np.cumprod(np.column_stack([a, ratio * x[live, None]]), axis=1)
+            term = a_k[:, :-1] / divisor
             s_k = np.cumsum(np.column_stack([s, term]), axis=1)
             stop = ~(term > 1e-17 * s_k[:, :-1])
             done = stop.any(axis=1)

@@ -11,8 +11,31 @@ from scipy.spatial import cKDTree
 from greencell import geometry, mc
 from greencell.errors import ParameterError
 from greencell.geometry import Window
-from greencell.quadrature import _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
-from greencell.quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize
+from greencell.quadrature import _GL32_NODES, _GL32_WEIGHTS, _SMOOTH_NODES, _SMOOTH_WEIGHTS, _mirror, _panelize
+
+# Positive half of the 64-node Gauss-Legendre rule, each node and weight the double nearest
+# its exact value (tests/test_analytics.py checks them against a 50-digit rule): the angular
+# rule of the hard-core kernel's error budget.
+GL64_X = (
+    0.024350292663424433, 0.07299312178779904, 0.12146281929612056, 0.16964442042399283, 0.21742364374000708,
+    0.2646871622087674, 0.31132287199021097, 0.3572201583376681, 0.4022701579639916, 0.4463660172534641,
+    0.48940314570705296, 0.5312794640198946, 0.571895646202634, 0.6111553551723933, 0.6489654712546573,
+    0.6852363130542333, 0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+    0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028, 0.9295691721319396,
+    0.9464113748584028, 0.9610087996520538, 0.973326827789911, 0.983336253884626, 0.9910133714767443,
+    0.9963401167719553, 0.9993050417357722,
+)
+GL64_W = (
+    0.048690957009139724, 0.04857546744150343, 0.048344762234802954, 0.04799938859645831, 0.04754016571483031,
+    0.04696818281621002, 0.046284796581314416, 0.04549162792741814, 0.044590558163756566, 0.04358372452932345,
+    0.04247351512365359, 0.04126256324262353, 0.03995374113272034, 0.038550153178615626, 0.03705512854024005,
+    0.035472213256882386, 0.033805161837141606, 0.03205792835485155, 0.030234657072402478,
+    0.028339672614259483, 0.02637746971505466, 0.024352702568710874, 0.022270173808383253,
+    0.02013482315353021, 0.017951715775697343, 0.015726030476024718, 0.013463047896718643,
+    0.011168139460131128, 0.008846759826363947, 0.006504457968978363, 0.004147033260562468,
+    0.001783280721696433,
+)
+GL64_NODES, GL64_WEIGHTS = _mirror(GL64_X, GL64_W)
 
 
 def nearest_distance(origin, points: np.ndarray) -> float:
@@ -152,12 +175,20 @@ def coverage_change_of_variables(engine, rho: float) -> float:
     return min(float(val) + engine.nearest_model.cdf(engine.R_GRID_LO), 1.0)
 
 
-def _angular(u: np.ndarray, r: float, psi_min: np.ndarray, ps: tuple) -> list:
-    """2 * integral over psi in [psi_min, pi] of dist^-p, per u node; one row per exponent."""
+def _angular(u: np.ndarray, r: float, psi_min: np.ndarray | None, ps: tuple, rule=(_GL32_NODES, _GL32_WEIGHTS)) -> list:
+    """2 * integral over psi in [psi_min, pi] of dist^-p, per u node, on ``rule``; one row per
+    exponent.  ``psi_min`` None is the full circle."""
+    psi_min = np.zeros_like(u) if psi_min is None else psi_min
     edges = np.stack([psi_min, np.full_like(psi_min, np.pi)], axis=-1)
-    psi, wpsi = _panelize(edges, _GL_NODES, _GL_WEIGHTS)
+    psi, wpsi = _panelize(edges, *rule)
     dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * np.cos(psi)
     return [2.0 * (wpsi * dist_sq ** (-p / 2.0)).sum(axis=1) for p in ps]
+
+
+def angular_64(u: np.ndarray, r: float, psi_min: np.ndarray | None, ps: tuple) -> list:
+    """``AnalyticEngine._angular`` on the 64-node Gauss-Legendre rule: in its place, the
+    package's kernel is the reference its 32-node angular sums are budgeted against."""
+    return _angular(u, r, psi_min, ps, (GL64_NODES, GL64_WEIGHTS))
 
 
 def exclusion_single(engine, r: float, ps: tuple) -> np.ndarray:

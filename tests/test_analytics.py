@@ -12,7 +12,7 @@ from greencell.analytics import REGULARIZATIONS, AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel, TrafficModel
 from greencell.errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from greencell.hcpp import HcppParams, zeta1, zeta2
-from greencell.quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS, _GL_NODES, _GL_WEIGHTS
+from greencell.quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS
 
 PARAMS = HcppParams(1e-4, 200.0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -155,6 +155,24 @@ def test_kernel_quadrature_cost(monkeypatch):
     chunks = [r[i : i + eng.KERNEL_CHUNK].size for i in range(0, r.size, eng.KERNEL_CHUNK)]
     assert len(points) == len(chunks) == 3
     assert all(32 * n <= got <= 4 * 32 * n for got, n in zip(points, chunks))
+
+    # each u-node's angular sum has 32 nodes, in region A's sectors and on region B's
+    # circle: every 2-D array built from the traced u nodes is (nodes x 1) or (nodes x 32)
+    widths, sectors = set(), []
+    angular = AnalyticEngine._angular
+
+    class Traced(np.ndarray):
+        def __array_finalize__(self, obj):
+            if self.ndim == 2:
+                widths.add(self.shape[1])
+
+    def traced(u, r, psi_min, ps):
+        sectors.append(psi_min is not None)
+        return angular(u.view(Traced), r, psi_min, ps)
+
+    monkeypatch.setattr(AnalyticEngine, "_angular", staticmethod(traced))
+    eng._radial_integral(r, (8.0, 4.0))
+    assert widths == {1, 32} and set(sectors) == {True, False}
 
     def no_panels(*args):
         raise AssertionError("_panelize reached")
@@ -427,6 +445,21 @@ def test_kernel_matches_per_radius_oracle(lam, alpha, delta):
     for n in (0, 1, 33, 300):
         assert np.array_equal(eng._radial_integral(r[:n], ps[:2]), ref[:2, :n])
         assert np.array_equal(eng._radial_integral(r[:n], ps[2:]), ref[2:, :n])
+
+
+@pytest.mark.parametrize("lam", [2e-5, 1e-4, 4e-4])
+@pytest.mark.parametrize("delta", [50.0, 200.0, 333.3])
+def test_angular_rule_error_budget(monkeypatch, lam, delta):
+    # the kernel's 32-node angular sums against the same kernel on the 64-node rule, within
+    # 1e-13 at exponents (2 alpha, alpha, 3) for alpha up to 8, radii from 0.3 m to 8 km
+    # and at delta * {1/4, ..., 3}; the kernel needs only hcpp, so one engine serves every alpha
+    eng = AnalyticEngine(Scenario(HcppParams(lam, delta)))
+    r = np.concatenate([np.geomspace(0.3, 8000.0, 350), delta * np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])])
+    ps = tuple(sorted({p for alpha in (2.5, 3.5, 4.0, 4.7, 6.0, 8.0) for p in (2.0 * alpha, alpha, 3.0)}))
+    got = eng._radial_integral(r, ps)
+    monkeypatch.setattr(AnalyticEngine, "_angular", staticmethod(oracles.angular_64))
+    ref = eng._radial_integral(r, ps)
+    assert np.abs(got / ref - 1.0).max() <= 1e-13
 
 
 @pytest.mark.parametrize("strategy", ["matern", "ppp"])
@@ -734,7 +767,7 @@ def _max_ulps(values, exact):
     "family, n, x, w",
     [
         ("legendre", 32, _GL32_NODES, _GL32_WEIGHTS),
-        ("legendre", 64, _GL_NODES, _GL_WEIGHTS),
+        ("legendre", 64, oracles.GL64_NODES, oracles.GL64_WEIGHTS),
         ("hermite", 96, _GH_NODES, _GH_WEIGHTS),
     ],
     ids=["legendre-32", "legendre-64", "hermite-96"],
