@@ -8,9 +8,9 @@ and coverage efficiency, for three switch-off strategies:
 * ``random``  -- independent switch-off matched to the hard-core density.
 
 The interference integral diverges as printed whenever an interferer could
-sit on top of the user; the default ``exclusion-ball`` regularization
-integrates only over interferers no closer than the serving station, which
-is exactly what nearest-station association realizes in the simulator.
+sit on top of the user.  The one model here, the exclusion ball, integrates
+only over interferers no closer than the serving station, which is exactly
+what nearest-station association realizes in the simulator.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS
 from .quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize, regula_falsi
 
 STRATEGIES = ("ppp", "matern", "random")
-REGULARIZATIONS = ("exclusion-ball", "none")
 RANDOM_MODES = ("retain", "remove")
 PAIR_NODES = 96  # quadrature nodes of the station-pair power kernel, interpolated onto 4096 in ln u
 # cos psi and weights of the 32-node rule on [0, pi], as ``_panelize`` maps it, shared by all full-circle nodes
@@ -79,7 +78,6 @@ class Scenario:
     traffic: TrafficModel = TrafficModel()
     ues_per_cell: int = 5
     strategy: str = "matern"
-    regularization: str = "exclusion-ball"
     random_mode: str = "retain"  # 'retain': keep prob = matched density ratio
 
     def __post_init__(self) -> None:
@@ -87,8 +85,6 @@ class Scenario:
             raise ParameterError("ues_per_cell must be >= 0")
         if self.strategy not in STRATEGIES:
             raise ParameterError(f"strategy must be one of {STRATEGIES}")
-        if self.regularization not in REGULARIZATIONS:
-            raise ParameterError(f"regularization must be one of {REGULARIZATIONS}")
         if self.random_mode not in RANDOM_MODES:
             raise ParameterError(f"random_mode must be one of {RANDOM_MODES}")
 
@@ -174,13 +170,12 @@ class AnalyticEngine:
     # ---- spatial integrals -----------------------------------------------
 
     def _radial_integral(self, r, p_exp):
-        """Integral of second_moment(|x|) * |x + x_int|^(-p) over the plane,
-        with |x_int| = r, under the scenario's regularization: one value per
-        radius for a number ``p_exp``, one row per exponent for a tuple, each
-        radius's geometry built once for all of them.  Geometry is centered
-        on the serving station; ``u`` is the interferer's distance to it and
-        ``dist`` its distance to the user; a hard core runs ``KERNEL_CHUNK`` radii
-        per ``_exclusion`` call, ``none`` adds ``_disk_term``.  Diverges, and raises, for any p <= 2."""
+        """Integral of second_moment(|x|) * |x + x_int|^(-p) over the plane outside the
+        exclusion ball, with |x_int| = r: one value per radius for a number ``p_exp``, one row
+        per exponent for a tuple, each radius's geometry built once for all of them.  Geometry
+        is centered on the serving station; ``u`` is the interferer's distance to it and
+        ``dist`` its distance to the user; a hard core runs ``KERNEL_CHUNK`` radii per
+        ``_exclusion`` call.  Diverges, and raises, for any p <= 2."""
         ps = p_exp if isinstance(p_exp, tuple) else (p_exp,)
         r = np.atleast_1d(np.asarray(r, float))
         if np.any(r <= 0):
@@ -189,25 +184,12 @@ class AnalyticEngine:
             raise InterferenceDivergenceError(
                 f"plane integral of distance^-p diverges for p = {min(ps):g} <= 2 (transmit power: p = alpha)"
             )
-        mode, delta = self.scenario.regularization, self._hard_core
-        if mode == "none" and delta == 0:
-            raise InterferenceDivergenceError(
-                "unregularized interference integral diverges for a Poisson-type "
-                "second moment (an interferer may coincide with the user)"
-            )
-        if mode == "none" and np.any(r >= delta):
-            raise InterferenceDivergenceError(
-                f"unregularized interference integral diverges for serving distance "
-                f"{r[r >= delta][0]:g} m >= hard-core distance {delta:g} m"
-            )
-        if delta > 0:
+        if self._hard_core > 0:
             out = np.empty((len(ps), r.size))
             for i in range(0, r.size, self.KERNEL_CHUNK):
                 out[:, i : i + self.KERNEL_CHUNK] = self._exclusion(r[i : i + self.KERNEL_CHUNK], ps)
         else:  # flat second moment: lambda_a^2 times the integral of dist^-p over dist >= r
             out = np.array([self.active_density**2 * 2.0 * np.pi * r ** (2.0 - p) / (p - 2.0) for p in ps])
-        if mode == "none":
-            out = out + [[self._disk_term(float(ri), p) for ri in r] for p in ps]
         return out if isinstance(p_exp, tuple) else out[0]
 
     @staticmethod
@@ -285,28 +267,6 @@ class AnalyticEngine:
             series[live[done]] = s_k[done, stop[done].argmax(axis=1)]
             live, a, s, k = live[~done], a_k[~done, -1], s_k[~done, -1], k + 64
         return self._flat_moment * 2.0 * np.pi * np.array([ci ** (2.0 - p_exp) for ci in c]) * series
-
-    def _disk_term(self, r: float, p_exp: float) -> float:
-        """Integral of second_moment(u) * s^-p over the disk s < r around the
-        user, in polar coordinates (s, phi) about it.  s-panels break where
-        the circle s touches u = delta or 2 delta and double upward, as s^(1-p)
-        falls steeply; phi-panels break at u = delta (where the second moment
-        jumps), 1.5 delta and 2 delta."""
-        delta = self._hard_core
-        near = (0.0, abs(r - delta), r + delta, abs(r - 2.0 * delta))
-        edges = {e for e in near if e < r} | {r}
-        g = min(e for e in edges if e > 0)
-        while g < r:
-            edges.add(g)
-            g *= 2.0
-        s, ws = _panelize(sorted(edges), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
-        # phi = 0 faces the server; u = 0 and u = inf give the ends phi = 0 and pi
-        c = np.array([0.0, delta, 1.5 * delta, 2.0 * delta, np.inf])
-        sin_sq = np.clip((c * c - (r - s[:, None]) ** 2) / (4.0 * r * s[:, None]), 0.0, 1.0)
-        phi, wphi = _panelize(2.0 * np.arcsin(np.sqrt(sin_sq)), _SMOOTH_NODES, _SMOOTH_WEIGHTS)
-        u = np.sqrt((r - s[:, None]) ** 2 + 4.0 * r * s[:, None] * np.sin(0.5 * phi) ** 2)
-        ang = 2.0 * (wphi * np.asarray(self.second_moment(u), float)).sum(axis=1)
-        return float((ws * s * s**-p_exp * ang).sum())
 
     # ---- metrics ---------------------------------------------------------
 

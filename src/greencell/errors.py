@@ -8,10 +8,8 @@ class ParameterError(ValueError):
 class InterferenceDivergenceError(ArithmeticError):
     """The interference integral is non-integrable for this configuration.
 
-    Raised instead of silently returning a huge number, e.g. when the
-    serving distance exceeds the hard-core radius and no regularization
-    is active, or when the path-loss exponent is too small for the
-    transmit-power integral to converge.
+    Raised instead of silently returning a huge number when the kernel's
+    exponent p is at most 2, such as transmit power (p = alpha) at alpha <= 2.
     """
 
 

@@ -1,6 +1,6 @@
 """Monte Carlo engine: realized networks, empirical EE/CE and the
 finite-antenna validation of the asymptotic channel model.  Nearest-station
-association realizes the ``exclusion-ball`` regularization, and no other.
+association realizes the analytic engine's exclusion ball.
 
 Every estimator draws its per-realization randomness from a child stream
 derived as SeedSequence([master_seed, index]), so results are bit-identical
@@ -152,8 +152,6 @@ def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int,
     draw, so its values are exactly those of running it alone; it returns
     None for a realization it skips.  ``reduce`` turns the kept values into
     the estimate; each needs at least 2 kept values."""
-    if scenario.regularization != "exclusion-ball":
-        raise ParameterError(f"regularization={scenario.regularization}: Monte Carlo realizes exclusion-ball only")
     kept = [[] for _ in estimators]
     for k in range(n):
         rng = child_rng(master_seed, k)

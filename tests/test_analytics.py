@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 from greencell import analytics
-from greencell.analytics import REGULARIZATIONS, AnalyticEngine, Scenario
+from greencell.analytics import AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel, TrafficModel
 from greencell.errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from greencell.hcpp import HcppParams, zeta1, zeta2
@@ -50,8 +50,6 @@ def brute_exclusion_integral(r, p_exp, kernel, s_max=40_000.0, n_s=4000, n_th=80
 def test_scenario_validation():
     with pytest.raises(ParameterError):
         Scenario(PARAMS, strategy="hexgrid")
-    with pytest.raises(ParameterError):
-        Scenario(PARAMS, regularization="bogus")
     with pytest.raises(ParameterError):
         Scenario(PARAMS, ues_per_cell=-1)
 
@@ -141,7 +139,7 @@ def test_kernel_quadrature_cost(monkeypatch):
         return moment(self, u)
 
     monkeypatch.setattr(AnalyticEngine, "second_moment", counted)
-    eng = _engine("matern", "exclusion-ball")
+    eng = _engine("matern")
     eng._flat_moment
     assert points == [1]
     for r in (0.5, 10.0, 99.0, 101.0, 149.0, 151.0, 199.0, 201.0, 399.0, 401.0, 6000.0):
@@ -181,7 +179,7 @@ def test_kernel_quadrature_cost(monkeypatch):
     points.clear()
     r = np.geomspace(0.5, 6000.0, 40)
     for strategy in ("ppp", "random"):
-        eng = _engine(strategy, "exclusion-ball")
+        eng = _engine(strategy)
         assert np.all(eng.interference_base(r) > 0)
         assert np.all(eng._radial_integral(r, 4.0) > 0)
     assert not points
@@ -206,83 +204,16 @@ def test_interference_decreasing_beyond_hard_core(matern_engine):
     assert matern_engine.avg_interference(150.0) > matern_engine.avg_interference(50.0)
 
 
-def test_unregularized_divergence():
-    eng = AnalyticEngine(Scenario(PARAMS, regularization="none", shadowing=ShadowingModel(0.0)))
-    with pytest.raises(InterferenceDivergenceError):
-        eng.avg_interference(300.0)
-    # inside the hard core the integral exists as printed
-    assert eng.avg_interference(150.0) > 0
-    ppp = AnalyticEngine(
-        Scenario(PARAMS, strategy="ppp", regularization="none", shadowing=ShadowingModel(0.0))
-    )
-    with pytest.raises(InterferenceDivergenceError):
-        ppp.avg_interference(50.0)
-
-
-def _engine(strategy, regularization):
-    return AnalyticEngine(
-        Scenario(PARAMS, strategy=strategy, regularization=regularization, shadowing=ShadowingModel(0.0))
-    )
-
-
-def polar_disk_oracle(eng, r, p_exp):
-    """Nested adaptive quad of the disk term in user-centred polar coordinates
-    (s, phi), broken at the fixed rule's tangency radii and angles, to relative 1e-12."""
-    from scipy.integrate import quad
-
-    delta = eng._hard_core
-
-    def ring(s):
-        x = [(c * c - (r - s) ** 2) / (4.0 * r * s) for c in (delta, 1.5 * delta, 2.0 * delta)]
-        pts = sorted({2.0 * np.arcsin(np.sqrt(v)) for v in x if 0.0 < v < 1.0})
-
-        def k(phi):
-            return eng.second_moment(np.sqrt((r - s) ** 2 + 4.0 * r * s * np.sin(phi / 2.0) ** 2))
-
-        val, _ = quad(k, 0.0, np.pi, points=pts or None, limit=200, epsabs=0.0, epsrel=1e-12)
-        return 2.0 * s * s**-p_exp * val
-
-    pts = sorted({e for e in (abs(r - delta), r + delta, abs(r - 2.0 * delta)) if 0.0 < e < r})
-    val, _ = quad(ring, 0.0, r, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-12)
-    return val
-
-
-@pytest.mark.parametrize(
-    "regularization, p, radii",
-    [  # ids kept stable across the removal of the min-distance rows
-        pytest.param("none", 8.0, (90.0, 110.0, 190.0), id="none-8.0-radii2"),
-        pytest.param("none", 4.0, (90.0, 110.0, 190.0), id="none-4.0-radii3"),
-    ],
-)
-def test_matern_disk_term_vs_polar_oracle(regularization, p, radii):
-    # radii straddle delta/2 (delta = 200 m); none diverges from delta on
-    eng, excl = _engine("matern", regularization), _engine("matern", "exclusion-ball")
-    for r in radii:
-        total = float(eng._radial_integral(r, p)[0])
-        term = total - float(excl._radial_integral(r, p)[0])
-        assert abs(term - polar_disk_oracle(eng, r, p)) <= 1e-10 * total
-
-
-def test_none_is_exclusion_ball_within_half_core():
-    # for r <= delta/2 no interferer can be closer to the user than the server
-    none, excl = _engine("matern", "none"), _engine("matern", "exclusion-ball")
-    r = np.array([1.0, 30.0, 99.0, 100.0])
-    for p in (4.0, 8.0):
-        assert np.array_equal(none._radial_integral(r, p), excl._radial_integral(r, p))
+def _engine(strategy):
+    return AnalyticEngine(Scenario(PARAMS, strategy=strategy, shadowing=ShadowingModel(0.0)))
 
 
 def test_kernel_runs_without_adaptive_quad():
-    # every regularization runs on fixed rules; that the package loads no
-    # adaptive integrator is test_analytic_metrics_run_without_adaptive_quad
-    for regularization in REGULARIZATIONS:
-        eng = _engine("matern", regularization)
-        assert eng.avg_interference(150.0) > 0
-        if regularization == "none":  # the serving distances reach past delta
-            with pytest.raises(InterferenceDivergenceError):
-                eng.avg_tx_power()
-        else:
-            assert eng.avg_tx_power() > 0
-            assert _engine("ppp", regularization).avg_tx_power() > 0
+    # that the package loads no adaptive integrator is test_analytic_metrics_run_without_adaptive_quad
+    eng = _engine("matern")
+    assert eng.avg_interference(150.0) > 0
+    assert eng.avg_tx_power() > 0
+    assert _engine("ppp").avg_tx_power() > 0
 
 
 def test_rate_zero_shadowing_closed_form(matern_engine):
@@ -386,18 +317,21 @@ def test_matern_tx_power_and_ee_pinned(convention, watts, ee):
 
 
 @pytest.mark.parametrize(
-    "strategy, regularization, radii",
-    [
-        ("matern", "exclusion-ball", [0.5, 99.0, 100.0, 101.0, 199.0, 200.0, 201.0, 399.0, 400.0, 401.0, 500.0, 510.0]),
-        ("matern", "none", [1.0, 99.0, 100.0, 101.0, 199.0]),
-        ("ppp", "exclusion-ball", [0.5, 50.0, 400.0, 6000.0]),
-        ("random", "exclusion-ball", [0.5, 50.0, 400.0, 6000.0]),
+    "strategy, radii",
+    [  # ids kept stable across the removal of the none rows
+        pytest.param(
+            "matern",
+            [0.5, 99.0, 100.0, 101.0, 199.0, 200.0, 201.0, 399.0, 400.0, 401.0, 500.0, 510.0],
+            id="matern-exclusion-ball-radii0",
+        ),
+        pytest.param("ppp", [0.5, 50.0, 400.0, 6000.0], id="ppp-exclusion-ball-radii2"),
+        pytest.param("random", [0.5, 50.0, 400.0, 6000.0], id="random-exclusion-ball-radii3"),
     ],
 )
-def test_exponent_tuple_matches_single_exponent_calls(strategy, regularization, radii):
+def test_exponent_tuple_matches_single_exponent_calls(strategy, radii):
     # one row per exponent, each the single-exponent call's array bit for bit;
     # matern's radii straddle delta/2, delta, 2 delta and r_sup / 2 (506 m)
-    eng = _engine(strategy, regularization)
+    eng = _engine(strategy)
     r = np.array(radii)
     rows = eng._radial_integral(r, (8.0, 4.0, 3.0))
     assert rows.shape == (3, r.size)
@@ -465,7 +399,7 @@ def test_angular_rule_error_budget(monkeypatch, lam, delta):
 @pytest.mark.parametrize("strategy", ["matern", "ppp"])
 @pytest.mark.parametrize("p_exp", [1.5, 2.0, (8.0, 2.0)])
 def test_kernel_refuses_exponents_at_or_below_two(strategy, p_exp):
-    eng = _engine(strategy, "exclusion-ball")
+    eng = _engine(strategy)
     with pytest.raises(InterferenceDivergenceError):
         eng._radial_integral(100.0, p_exp)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from greencell import config as cfgmod
@@ -55,7 +57,7 @@ def test_validation_of_choices():
     with pytest.raises(ParameterError):
         cfgmod.parse_config_text("strategy=hex")
     with pytest.raises(ParameterError, match="unknown config keys: regularization"):
-        cfgmod.parse_config_text("regularization=exclusion-ball")  # the only one a run realizes
+        cfgmod.parse_config_text("regularization=exclusion-ball")  # the one near-field model has no key
     with pytest.raises(ParameterError):
         cfgmod.parse_config_text("traffic_mode=hourly")
     with pytest.raises(ParameterError):
@@ -103,3 +105,28 @@ def test_shadowing_convention_and_random_mode_keys():
     for bad in ("shadowing_convention=linear", "random_mode=keep"):
         with pytest.raises(ParameterError, match=bad.split("=")[0]):
             cfgmod.parse_config_text(bad)
+
+
+def _leaves(obj, prefix=""):
+    """Scenario's fields, and those of the dataclasses it holds, by dotted name."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value
+
+
+def test_every_scenario_field_is_set_by_a_config_key():
+    # a Scenario field that no key moves is a knob no run can set
+    base = dict(_leaves(cfgmod.to_scenario(cfgmod.RunConfig())))
+    moved = set()
+    for f in dataclasses.fields(cfgmod.RunConfig):
+        default = getattr(cfgmod.RunConfig(), f.name)
+        if f.name in cfgmod._CHOICES:
+            value = next(v for v in cfgmod._CHOICES[f.name] if v != default)
+        else:
+            value = 2 * default
+        leaves = dict(_leaves(cfgmod.to_scenario(cfgmod.RunConfig(**{f.name: value}))))
+        moved |= {name for name, v in leaves.items() if v != base[name]}
+    assert sorted(set(base) - moved) == []

@@ -308,12 +308,6 @@ def test_serving_cdf_equals_mean_interference_count(strategy, convention):
         assert new == old, seed
 
 
-def test_mc_realizes_only_the_exclusion_ball(engine):
-    sc = dataclasses.replace(engine.scenario, regularization="none")
-    with pytest.raises(ParameterError, match="exclusion-ball only"):
-        mc.estimate_ee(AnalyticEngine(sc), WINDOW, 4, 1)
-
-
 def test_ce_deterministic_in_seed(scenario, engine):
     a = mc.estimate_ce(engine, WINDOW, 30, 5)
     b = mc.estimate_ce(engine, WINDOW, 30, 5)
