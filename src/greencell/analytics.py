@@ -9,8 +9,8 @@ and coverage efficiency, for three switch-off strategies:
 
 The interference integral diverges as printed whenever an interferer could
 sit on top of the user.  The one model here, the exclusion ball, integrates
-only over interferers no closer than the serving station, which is exactly
-what nearest-station association realizes in the simulator.
+only over interferers no closer than the serving station.  Nearest-station
+association realizes it for ``ppp`` and ``random``, for ``matern`` up to delta/2.
 """
 from __future__ import annotations
 

@@ -43,8 +43,10 @@ class ShadowingModel:
             return float(np.exp(2.0 * self.log_std**2))
         raise ParameterError(f"order must be 1 or 2, got {order}")
 
-    def sample_with(self, rng: np.random.Generator, size=None):
-        return np.exp(rng.normal(0.0, self.log_std, size=size))
+    def sample_with(self, rng: np.random.Generator, size):
+        z = rng.standard_normal(size)
+        z *= self.log_std
+        return np.exp(z, out=z)
 
 
 @dataclass(frozen=True)

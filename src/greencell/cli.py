@@ -149,7 +149,8 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
         "assertions": assertions,
         "diagnostics": [{"strategy": r.strategy, "engine": r.engine, "value": r.value, **r.diagnostics}
                         for r in rows if r.diagnostics],
-        "toolchain": {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()},
+        "toolchain": {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count(),
+                      "numpy_simd": np.show_config(mode="dicts")["SIMD Extensions"]},
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -18,7 +18,7 @@ import numpy.random  # numpy 2 loads it on first use, which would fall inside a 
 
 from .errors import ParameterError
 
-_ROUNDING = 8.0 * np.finfo(float).eps  # relative pad that covers the rounding of a row key
+_CELL_PAD = 8.0 * np.finfo(float).eps  # relative pad on a cell side, for rounding
 
 
 @dataclass(frozen=True)
@@ -62,55 +62,56 @@ def matern_ii_thin(points: np.ndarray, marks: np.ndarray, delta: float) -> np.nd
     highest load stays on.  Marks are only compared, so any real values
     serve.  Mark ties (measure zero in theory, possible in finite precision)
     are broken by insertion index so the output is always a valid hard-core
-    set.
+    set.  Distances are tested exactly as ``cKDTree.query_pairs`` does, dx^2 +
+    dy^2 <= delta^2, on a grid of cells that each hold their highest mark
+    (README, "Numerical notes").
     """
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
     if len(points) != len(marks):
         raise ParameterError("points and marks must have equal length")
     pts = np.asarray(points, float)
-    if delta == 0 or len(pts) < 2:
+    n = len(pts)
+    if delta == 0 or n < 2:
         return pts.copy()
-    i, j = _close_pairs(pts, delta)
-    m = np.asarray(marks)
-    # total order on (mark, index); the smaller of each conflicting pair dies
-    i_loses = (m[i] < m[j]) | ((m[i] == m[j]) & (i < j))
-    keep = np.ones(len(pts), dtype=bool)
-    keep[np.where(i_loses, i, j)] = False
-    return pts[keep]
-
-
-def _close_pairs(pts: np.ndarray, delta: float):
-    """Indices (i, j) of every pair, once, of two or more points at most ``delta`` > 0 apart, by
-    the exact test dx^2 + dy^2 <= delta^2 of ``cKDTree.query_pairs``.  Sorted into rows a little
-    taller than delta by the key (row, x), a point's partners lie ahead of it in its row, or within
-    delta in x in the next row, left or right: ``searchsorted`` finds these windows, padded for
-    the keys' rounding, and each candidate is checked exactly.  One window at a time keeps the
-    temporaries small."""
     x, y = pts[:, 0], pts[:, 1]
     x0, y0 = x.min(), y.min()
-    width = 2.0 * (x.max() - x0) + 3.0 * delta  # holds a row's keys and a window past them
-    key = np.floor((y - y0) / (delta + _ROUNDING * (y.max() - y0 + delta))) * width + (x - x0)
-    order = np.argsort(key)
-    key = key[order]
-    pad = _ROUNDING * (key[-1] + width)
-    ps = pts[order]
-    ahead = np.searchsorted(key, key + (delta + pad), "right")
-    next_lo = np.searchsorted(key, key + (width - delta - pad))
-    next_mid = np.searchsorted(key, key + width)
-    next_hi = np.searchsorted(key, key + (width + delta + pad), "right")
-    i, j = [], []
-    for first, stop in ((np.arange(1, len(key) + 1), ahead), (next_lo, next_mid), (next_mid, next_hi)):
-        count = stop - first
-        cand = np.repeat(first - np.cumsum(count) + count, count)
-        cand += np.arange(len(cand))
-        d = ps.take(cand, axis=0)
-        d -= np.repeat(ps, count, axis=0)
-        d *= d
-        hit = np.flatnonzero(d[:, 0] + d[:, 1] <= delta * delta)
-        i.append(np.repeat(order, count).take(hit))
-        j.append(order.take(cand.take(hit)))
-    return np.concatenate(i), np.concatenate(j)
+    span = max(x.max() - x0, y.max() - y0)
+    pad = _CELL_PAD * (span + delta)  # covers the rounding of the cell indices and of the test
+    # over 3 points within delta of a point on average: cells of side delta/√8 less the pad put any
+    # two points of a 3x3 block within delta, and number under 8πn/3.  Else at most about 4n cells.
+    fine = n * np.pi * delta * delta > 3.0 * span * span
+    side, reach = ((delta - pad) / np.sqrt(8.0), 3) if fine else (max(delta + pad, span / (2.0 * np.sqrt(n))), 1)
+    cx = ((x - x0) / side).astype(np.intp)
+    cy = ((y - y0) / side).astype(np.intp)
+    width = int(cx.max()) + 2 * reach + 1  # an empty border of reach cells on every side
+    size = (int(cy.max()) + 2 * reach + 1) * width
+    order = np.argsort(cy * width + cx)
+    cell = (cy[order] + reach) * width + cx[order] + reach
+    xs, ys, ms = x[order], y[order], np.asarray(marks)[order]
+    top = np.full(size, ms.min())  # the highest mark of each cell
+    np.maximum.at(top, cell, ms)
+    run = 2 * reach + 1  # r3[c] and row[c]: the highest mark of cells c .. c + 2 and c .. c + run - 1
+    r3 = np.maximum(np.maximum(top[:-2], top[1:-1]), top[2:])
+    row = r3 if run == 3 else np.maximum(np.maximum(r3[:-4], r3[3:-1]), r3[4:])
+    dead = np.zeros(n, dtype=bool)
+    if fine:  # a higher mark in the 3x3 block around a point's cell c (at c - width - 1) removes it
+        dead = np.maximum(np.maximum(r3[: -2 * width], r3[width:-width]), r3[2 * width :])[cell - width - 1] > ms
+    # every other point is checked exactly against the rows of cells within delta of its own whose
+    # highest mark is at least its own; cell c holds the sorted points first[c] .. first[c + 1] - 1
+    first = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=size))))
+    rest = np.flatnonzero(~dead)
+    seg = (cell[rest, None] + np.arange(-reach * (width + 1), reach * width, width)).reshape(-1)
+    k = np.flatnonzero(row[seg] >= np.repeat(ms[rest], run))
+    lo = first[seg[k]]
+    cnt = first[seg[k] + run] - lo
+    i = np.repeat(rest[k // run], cnt)
+    j = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    hit = np.flatnonzero((xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 <= delta * delta)
+    i, j = i[hit], j[hit]
+    # total order on (mark, index); the smaller of each conflicting pair dies
+    dead[i[(ms[i] < ms[j]) | ((ms[i] == ms[j]) & (order[i] < order[j]))]] = True
+    return np.delete(pts, order[dead], axis=0)
 
 
 def random_thin(points: np.ndarray, retain_prob: float, seed) -> np.ndarray:

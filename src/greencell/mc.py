@@ -1,6 +1,7 @@
 """Monte Carlo engine: realized networks, empirical EE/CE and the
 finite-antenna validation of the asymptotic channel model.  Nearest-station
-association realizes the analytic engine's exclusion ball.
+association realizes the analytic engine's exclusion ball for ``ppp`` and
+``random``, and for ``matern`` only at serving distances up to delta/2.
 
 Every estimator draws its per-realization randomness from a child stream
 derived as SeedSequence([master_seed, index]), so results are bit-identical

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from greencell.channel import (
+    CONVENTIONS,
     RadioParams,
     ShadowingModel,
     TrafficModel,
@@ -27,6 +28,18 @@ def test_shadowing_sample_moments():
     x = m.sample_with(np.random.default_rng(7), size=200_000)
     assert abs(x.mean() / m.moment(1) - 1.0) < 0.01
     assert abs((x**2).mean() / m.moment(2) - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 8.0])
+@pytest.mark.parametrize("size", [10, (37, 1764)])
+def test_shadowing_draws_are_lognormal_draws(convention, sigma, size):
+    """The draws equal np.exp(rng.normal(0, log_std, size)) bit for bit, and
+    leave the stream where that call leaves it."""
+    m = ShadowingModel(sigma, convention=convention)
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    assert np.array_equal(m.sample_with(rng, size), np.exp(ref.normal(0.0, m.log_std, size)))
+    assert rng.random() == ref.random()
 
 
 def test_shadowing_zero_sigma_degenerate():

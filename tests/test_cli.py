@@ -156,8 +156,9 @@ def test_summary_records_toolchain(cfg_file, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["analytic", "--config", cfg_file, "--out", str(out)]) == 0
     toolchain = json.loads((out / "summary.json").read_text())["toolchain"]
-    assert set(toolchain) == {"python", "numpy", "cpu_count"}
+    assert set(toolchain) == {"python", "numpy", "cpu_count", "numpy_simd"}
     assert toolchain["numpy"] == np.__version__
+    assert toolchain["numpy_simd"] == np.show_config(mode="dicts")["SIMD Extensions"]
     assert (out / "results.csv").read_text().splitlines()[0] == cli.CSV_HEADER
 
 

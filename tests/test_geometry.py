@@ -1,7 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
-from scipy.spatial import cKDTree
 
 from greencell import geometry
 from greencell.errors import ParameterError
@@ -85,45 +86,71 @@ def test_matern_tie_break_deterministic():
     assert np.array_equal(out[0], pts[1])
 
 
-def _pair_codes(i, j, n):
-    """Sorted codes of unordered index pairs, one per pair found."""
-    return np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+def _lattice(spacing, offset, nx=20, ny=20, aspect=1.0):
+    gx = np.arange(nx) * spacing + offset
+    gy = np.arange(ny) * (aspect * spacing) + offset
+    return np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
 
 
-def _lattice(spacing, offset, n=20):
-    g = np.arange(n) * spacing + offset
-    return np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+def _corner_pair(delta, offset, ulp):
+    """Two points about delta apart on the diagonal, the first at the lowest corner of the point
+    set, where the thinning's grid starts.  Its fine cells (side just under delta/sqrt(8)) then put
+    the second point at the far corner of the first one's 3x3 block, or just past it.  A cluster
+    3 delta away brings the mean number of points within delta of a point, n pi delta^2 / span^2,
+    above 3, so that the thinning removes points outright."""
+    first = np.full(2, offset)
+    second = first + delta * 2**-0.5
+    second += ulp * np.spacing(second)
+    cluster = first + delta * (3.0 + np.random.default_rng(ulp + 4).uniform(0.0, 0.2, size=(12, 2)))
+    return np.concatenate([[first, second], cluster])
 
 
 def test_matern_matches_query_pairs_thinning():
-    """The row-sorted pair search finds exactly the pairs of
-    ``cKDTree.query_pairs``, each once, and the thinning keeps the points the
-    query_pairs thinning keeps.  Kept points equal in order pin the keep mask
-    for distinct points; for duplicates the equal pair sets do."""
+    """The grid thinning keeps the points the query_pairs thinning keeps, in
+    order, under uniform marks and under integer marks that tie often."""
     w = Window(1500.0, 600.0)  # the benchmark's sampling square, 1764 stations on average
     cases = [(geometry.sample_ppp(1e-4, w, seed=s), d) for d in (150.0, 200.0, 250.0) for s in range(3)]
     cases += [(geometry.sample_ppp(1e-4, w, seed=5), 0.5), (geometry.sample_ppp(1e-4, w, seed=6), 1000.0)]
-    # spacings of exactly delta, where the keys' rounding decides without the window pad
+    ds = (1.0, 5.0, 20.0, 50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 600.0, 1000.0)
+    cases += [(geometry.sample_ppp(1e-4, w, seed=20 + k), d) for k, d in enumerate(ds)]
+    # spacings of exactly delta, which round to either side of delta
     cases += [(_lattice(d, off), d) for off in (0.0, 1e6, -1e6) for d in (0.3, 0.7, 200.0)]
-    # a pair exactly delta apart whose rows round two apart without the row-height pad
+    # lattices spaced delta in x and 1.2 delta in y: fewer than 3 points within delta on average
+    cases += [(_lattice(d, off, 110, 90, 1.2), d) for off in (0.0, 1e6, -1e6) for d in (0.7, 200.0)]
+    cases += [(_corner_pair(d, off, u), d) for off in (0.0, 1e6, -1e6) for d in (1.0, 200.0) for u in range(-4, 5)]
+    # a pair exactly delta apart, 900 m above the lowest point
     cases.append((np.array([[0.0, -385.0941774370308], [0.0, 514.9058225629691], [0.0, 664.9058225629691]]), 150.0))
     line = np.arange(50.0)
     cases += [
         (np.repeat([[1.0, 2.0], [1.5, 2.0], [9.0, 9.0]], 3, axis=0), 1.0),  # duplicate points
+        (np.repeat([[5.0, -3.0]], 12, axis=0), 1.0),  # all points identical: zero span
         (np.stack([line, np.zeros(50)], axis=1), 2.0),  # one row
         (np.stack([np.zeros(50), line], axis=1), 2.0),  # one column
         (np.array([[0.0, 0.0], [3.0, 4.0]]), 5.0),  # two points, exactly delta apart
         (np.array([[0.0, 0.0], [3.0, 4.0]]), 4.9),
     ]
     for k, (pts, delta) in enumerate(cases):
-        i, j = geometry._close_pairs(pts, delta)
-        want = cKDTree(pts).query_pairs(delta, output_type="ndarray")
-        assert np.array_equal(_pair_codes(i, j, len(pts)), _pair_codes(want[:, 0], want[:, 1], len(pts))), k
-        marks = _marks(pts, k)
-        kept = geometry.matern_ii_thin(pts, marks, delta)
-        assert np.array_equal(kept, oracles.matern_ii_thin_query_pairs(pts, marks, delta)), k
+        for marks in (_marks(pts, k), np.random.default_rng(k).integers(0, 4, size=len(pts))):
+            kept = geometry.matern_ii_thin(pts, marks, delta)
+            assert np.array_equal(kept, oracles.matern_ii_thin_query_pairs(pts, marks, delta)), k
     for pts in (np.zeros((0, 2)), np.array([[1.0, 2.0]])):  # no pair to search
         assert np.array_equal(geometry.matern_ii_thin(pts, _marks(pts, 0), 1.0), pts)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1000.0])
+def test_matern_memory_is_bounded(delta):
+    """numpy reports its buffers to tracemalloc: a 1764-station thinning stays
+    under 8 MB at the smallest and largest delta, where an uncapped grid at
+    0.5 m would take 7e7 cells."""
+    pts = geometry.sample_ppp(1e-4, Window(1500.0, 600.0), seed=8)
+    marks = _marks(pts, 9)
+    tracemalloc.start()
+    try:
+        geometry.matern_ii_thin(pts, marks, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_matern_hard_core_and_subset():
