@@ -28,7 +28,6 @@ from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS
 from .quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize, regula_falsi
 
 STRATEGIES = ("ppp", "matern", "random")
-RANDOM_MODES = ("retain", "remove")
 PAIR_NODES = 96  # quadrature nodes of the station-pair power kernel, interpolated onto 4096 in ln u
 # cos psi and weights of the 32-node rule on [0, pi], as ``_panelize`` maps it, shared by all full-circle nodes
 _CIRCLE_COS, _CIRCLE_W = np.cos(0.5 * np.pi + 0.5 * np.pi * _GL32_NODES), 0.5 * np.pi * _GL32_WEIGHTS
@@ -78,23 +77,17 @@ class Scenario:
     traffic: TrafficModel = TrafficModel()
     ues_per_cell: int = 5
     strategy: str = "matern"
-    random_mode: str = "retain"  # 'retain': keep prob = matched density ratio
 
     def __post_init__(self) -> None:
         if self.ues_per_cell < 0:
             raise ParameterError("ues_per_cell must be >= 0")
         if self.strategy not in STRATEGIES:
             raise ParameterError(f"strategy must be one of {STRATEGIES}")
-        if self.random_mode not in RANDOM_MODES:
-            raise ParameterError(f"random_mode must be one of {RANDOM_MODES}")
 
     @property
     def retain_probability(self) -> float:
-        """Retention probability of the matched random strategy."""
-        p = hcpp.zeta1(self.hcpp) / self.hcpp.lambda_b
-        if self.random_mode == "remove":
-            p = 1.0 - p
-        return p
+        """Retention probability of the random strategy matched to the hard-core density."""
+        return hcpp.zeta1(self.hcpp) / self.hcpp.lambda_b
 
 
 class InversionResult(NamedTuple):
@@ -134,15 +127,6 @@ class AnalyticEngine:
             return hcpp.zeta1(s.hcpp)
         return s.retain_probability * s.hcpp.lambda_b
 
-    def second_moment(self, u):
-        """Radial second-order product density of the active process."""
-        s = self.scenario
-        if s.strategy == "matern":
-            return hcpp.zeta2(u, s.hcpp)
-        u = np.asarray(u, float)
-        out = np.full_like(u, self.active_density**2)
-        return out if out.ndim else float(out)
-
     @cached_property
     def _hard_core(self) -> float:
         """Radius inside which the second moment vanishes (0 for Poisson-like)."""
@@ -170,11 +154,11 @@ class AnalyticEngine:
     # ---- spatial integrals -----------------------------------------------
 
     def _radial_integral(self, r, p_exp):
-        """Integral of second_moment(|x|) * |x + x_int|^(-p) over the plane outside the
-        exclusion ball, with |x_int| = r: one value per radius for a number ``p_exp``, one row
-        per exponent for a tuple, each radius's geometry built once for all of them.  Geometry
-        is centered on the serving station; ``u`` is the interferer's distance to it and
-        ``dist`` its distance to the user; a hard core runs ``KERNEL_CHUNK`` radii per
+        """Integral of the second-order product density at |x| times |x + x_int|^(-p) over the
+        plane outside the exclusion ball, with |x_int| = r: one value per radius for a number
+        ``p_exp``, one row per exponent for a tuple, each radius's geometry built once for all of
+        them.  Geometry is centered on the serving station; ``u`` is the interferer's distance to
+        it and ``dist`` its distance to the user; a hard core runs ``KERNEL_CHUNK`` radii per
         ``_exclusion`` call.  Diverges, and raises, for any p <= 2."""
         ps = p_exp if isinstance(p_exp, tuple) else (p_exp,)
         r = np.atleast_1d(np.asarray(r, float))
@@ -210,7 +194,7 @@ class AnalyticEngine:
         centered: one row per exponent, one column per radius.  The allowed angular sector closes
         with a square-root law at u = 2r, so that stretch is integrated in the smooth substituted
         variable u = 2r cos(beta); past c = max(2 delta, 2r) the integral is ``_flat_tail``.  Radii
-        with as many panels share a ``_panelize`` call, all radii one ``second_moment`` call."""
+        with as many panels share a ``_panelize`` call, all radii one ``hcpp.zeta2`` call."""
         delta = self._hard_core
         blocks = []  # (radii, u, weight, beta) per panel count; beta None on the full circle
         # region A: exclusion active, u in (delta, 2r), in beta up to b_hi = arccos(delta / 2r),
@@ -233,7 +217,7 @@ class AnalyticEngine:
             if g.any():
                 u, wu = _panelize(np.stack(cols, axis=-1)[g], _GL32_NODES, _GL32_WEIGHTS)
                 blocks.append((np.flatnonzero(g), u, wu, None))
-        moment = self.second_moment(np.concatenate([b[1].ravel() for b in blocks]))
+        moment = hcpp.zeta2(np.concatenate([b[1].ravel() for b in blocks]), self.scenario.hcpp)
         total, at = np.zeros((len(ps), r.size)), 0
         for radii, u, w, beta in blocks:
             w, at = w * u * moment[at : at + u.size].reshape(u.shape), at + u.size
@@ -247,7 +231,7 @@ class AnalyticEngine:
     @cached_property
     def _flat_moment(self) -> float:
         """The second moment at u >= 2 delta, where union_area is exactly 2 pi delta^2."""
-        return float(self.second_moment(2.0 * self._hard_core))
+        return hcpp.zeta2(2.0 * self._hard_core, self.scenario.hcpp)
 
     def _flat_tail(self, r, c, p_exp: float) -> np.ndarray:
         """The plane integral over u > c for c >= max(2 delta, 2r), per radius with its c: there the

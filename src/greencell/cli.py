@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import mc
-from .analytics import RANDOM_MODES, STRATEGIES, AnalyticEngine, Scenario
+from .analytics import STRATEGIES, AnalyticEngine, Scenario
 from .channel import CONVENTIONS
 from .errors import InterferenceDivergenceError, MonotonicityError, NormalizationFitError
 from .errors import ParameterError
@@ -129,7 +129,7 @@ def _trend_assertions(rows: list[ResultRow], param: str) -> list[dict]:
     return out
 
 
-def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
+def _write_outputs(out_dir, rows, cfg, assertions, wall_clock):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     lines = [CSV_HEADER] + [r.to_csv() for r in rows]
@@ -155,45 +155,33 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock, gnuplot=False):
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if gnuplot:
-        script = (
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set logscale y\n"
-            f"plot 'results.csv' using 4:8 with linespoints title 'ee'\n"
-        )
-        with open(os.path.join(out_dir, "plot.gp"), "w", encoding="utf-8") as fh:
-            fh.write(script)
     return csv_path
 
 
 def _load_config(args) -> cfgmod.RunConfig:
-    """The config file (or the defaults), with every flag given overriding it."""
+    """The config file (or the defaults), with every flag given overriding it;
+    a flag the command does not take reads as absent."""
     cfg = cfgmod.parse_config(args.config) if args.config else cfgmod.RunConfig()
-    keys = ("seed", "strategy", "shadowing_convention", "random_mode")
-    return replace(cfg, **{k: getattr(args, k) for k in keys if getattr(args, k) is not None})
-
-
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--shadowing-convention", choices=CONVENTIONS, default=None)
-    p.add_argument("--random-mode", choices=RANDOM_MODES, default=None)
-    p.add_argument("--gnuplot", action="store_true", help="emit a plot script")
+    flags = {k: getattr(args, k, None) for k in ("seed", "strategy", "shadowing_convention")}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="greencell")
+    """One subparser per command, each taking only the flags the command reads, spelled in full."""
+    parser = _Parser(prog="greencell", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    cmds = {name: sub.add_parser(name, allow_abbrev=False)
+            for name in ("analytic", "simulate", "sweep", "compare", "validate-asymptotics")}
+    for p in cmds.values():
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--seed", type=int, default=None)
+    for name in ("analytic", "simulate", "sweep", "compare"):
+        cmds[name].add_argument("--out", default=".", help="output directory")
+        cmds[name].add_argument("--shadowing-convention", choices=CONVENTIONS, default=None)
+    for name in ("analytic", "simulate", "compare"):
+        cmds[name].add_argument("--strategy", choices=STRATEGIES, default=None)
 
-    for name in ("analytic", "simulate"):
-        p = sub.add_parser(name)
-        _add_common(p)
-
-    p = sub.add_parser("sweep")
-    _add_common(p)
+    p = cmds["sweep"]
     p.add_argument("--param", choices=tuple(_PARAM_TO_KEY), required=True)
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     p.add_argument(
@@ -201,12 +189,9 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--engine", choices=("analytic", "mc", "both"), default="analytic")
 
-    p = sub.add_parser("compare")
-    _add_common(p)
-    p.add_argument("--r-int", type=float, default=100.0, help="probe serving distance, m")
+    cmds["compare"].add_argument("--r-int", type=float, default=100.0, help="probe serving distance, m")
 
-    p = sub.add_parser("validate-asymptotics")
-    _add_common(p)
+    p = cmds["validate-asymptotics"]
     p.add_argument("--antennas", default="16,64,256", help="comma-separated antenna counts")
     p.add_argument("--trials", type=int, default=200)
     return parser
@@ -220,7 +205,7 @@ def _cmd_point(args, engine_name: str) -> int:
     if row.failure:
         print(f"error: {row.failure}", file=sys.stderr)
         return 1
-    _write_outputs(args.out, [row], cfg, [], time.time() - t0, gnuplot=args.gnuplot)
+    _write_outputs(args.out, [row], cfg, [], time.time() - t0)
     print(row.to_csv())
     return 0
 
@@ -257,7 +242,7 @@ def _cmd_sweep(args) -> int:
                     done[key] = _compute_row(point, scenario, engine, args.param, value)
                 rows.append(replace(done[key], value=float(value)))
     assertions = _trend_assertions(rows, args.param)
-    _write_outputs(args.out, rows, cfg, assertions, time.time() - t0, gnuplot=args.gnuplot)
+    _write_outputs(args.out, rows, cfg, assertions, time.time() - t0)
     failed = [a for a in assertions if not a["passed"]]
     for a in assertions:
         status = "ok" if a["passed"] else "FAILED"

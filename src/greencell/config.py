@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .analytics import RANDOM_MODES, STRATEGIES, Scenario
+from .analytics import STRATEGIES, Scenario
 from .channel import CONVENTIONS, RadioParams, ShadowingModel, TrafficModel, noise_power_from_dbm
 from .errors import ParameterError
 from .geometry import Window
@@ -21,7 +21,6 @@ _CHOICES = {
     "strategy": STRATEGIES,
     "traffic_mode": TRAFFIC_MODES,
     "shadowing_convention": CONVENTIONS,
-    "random_mode": RANDOM_MODES,
 }
 
 
@@ -48,7 +47,6 @@ class RunConfig:
     strategy: str = "matern"
     traffic_mode: str = "at-mean"
     shadowing_convention: str = "paper-moments"
-    random_mode: str = "retain"  # 'retain' keeps stations w.p. zeta1/lambda_b, 'remove' 1 - that
 
     def __post_init__(self) -> None:
         for key, allowed in _CHOICES.items():
@@ -125,7 +123,6 @@ def to_scenario(cfg: RunConfig) -> Scenario:
         traffic=TrafficModel(cfg.theta, cfg.rho_min),
         ues_per_cell=cfg.ues_per_cell_l,
         strategy=cfg.strategy,
-        random_mode=cfg.random_mode,
     )
 
 

@@ -20,6 +20,12 @@ from .errors import ParameterError
 
 _CELL_PAD = 8.0 * np.finfo(float).eps  # relative pad on a cell side, for rounding
 
+# Allocated and freed at once: freeing a mapped 1 MB block raises glibc's malloc trim threshold
+# to 2 MB, so the few-hundred-kB temporaries of ``matern_ii_thin`` and of each Monte Carlo
+# realization stop being mapped and faulting their pages in on every call (25-44k minor faults
+# in a benchmark mc-sweep pass without it).  It runs on importing this module, which every run does.
+np.empty(1 << 17)
+
 
 @dataclass(frozen=True)
 class Window:

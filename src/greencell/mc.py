@@ -30,11 +30,6 @@ CE_USERS = 16
 #: stations in the measurement region whose transmit power an EE realization measures
 POWER_STATIONS = 16
 
-# Allocated and freed at once: freeing a mapped 1 MB block raises glibc's malloc trim threshold
-# to 2 MB, so the few-hundred-kB arrays of each realization stop faulting their pages in again
-# after every heap trim (25-44k minor faults in a benchmark mc-sweep pass without it).
-np.empty(1 << 17)
-
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent per-realization stream; deterministic in (master, key)."""
@@ -137,28 +132,22 @@ def run_realization(engine: AnalyticEngine, window: Window, active: np.ndarray, 
     return rate, station_power(engine, window, active)
 
 
-def _fork(rng: np.random.Generator) -> np.random.Generator:
-    """A new generator that continues ``rng``'s stream from where it stands."""
-    bits = rng.bit_generator
-    fork = np.random.Generator(type(bits)(bits.seed_seq))  # seeding is overwritten by the state
-    fork.bit_generator.state = bits.state
-    return fork
-
-
 def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int, estimators) -> list:
     """Run ``(measure, reduce)`` estimators over the same ``n`` realizations.
 
     Each realization's stations are drawn once.  Every ``measure(active,
-    rng)`` continues from its own copy of the stream as it stands after that
-    draw, so its values are exactly those of running it alone; it returns
-    None for a realization it skips.  ``reduce`` turns the kept values into
-    the estimate; each needs at least 2 kept values."""
+    rng)`` starts from the stream's state as it stands after that draw,
+    restored before each, so its values are exactly those of running it
+    alone; it returns None for a realization it skips.  ``reduce`` turns the
+    kept values into the estimate; each needs at least 2 kept values."""
     kept = [[] for _ in estimators]
     for k in range(n):
         rng = child_rng(master_seed, k)
         active = sample_active(scenario, window, rng)
+        state = rng.bit_generator.state
         for j, (measure, _) in enumerate(estimators):
-            value = measure(active, rng if j == len(estimators) - 1 else _fork(rng))
+            rng.bit_generator.state = state
+            value = measure(active, rng)
             if value is not None:
                 kept[j].append(value)
     for values in kept:

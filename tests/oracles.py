@@ -8,7 +8,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from greencell import geometry, mc
+from greencell import geometry, hcpp, mc
 from greencell.errors import ParameterError
 from greencell.geometry import Window
 from greencell.quadrature import _GL32_NODES, _GL32_WEIGHTS, _SMOOTH_NODES, _SMOOTH_WEIGHTS, _mirror, _panelize
@@ -194,7 +194,7 @@ def angular_64(u: np.ndarray, r: float, psi_min: np.ndarray | None, ps: tuple) -
 def exclusion_single(engine, r: float, ps: tuple) -> np.ndarray:
     """``AnalyticEngine._radial_integral`` for one radius, hard core delta > 0 and
     ``exclusion-ball``, as the package once computed it, one radius at a time:
-    each radius builds its own panels, calls ``second_moment`` and sums its
+    each radius builds its own panels, calls ``hcpp.zeta2`` and sums its
     own series.  Plane integral with the exclusion ball, serving-station
     centered, at each exponent of ``ps``.  The allowed angular sector closes
     with a square-root law at u = 2r, so that stretch is integrated in the
@@ -211,14 +211,14 @@ def exclusion_single(engine, r: float, ps: tuple) -> np.ndarray:
                 edges.add(float(np.arccos(u_split / (2.0 * r))))
         beta, wb = _panelize(sorted(e for e in edges if e <= b_hi), _GL32_NODES, _GL32_WEIGHTS)
         u = 2.0 * r * np.cos(beta)
-        w = wb * u * engine.second_moment(u) * (2.0 * r * np.sin(beta))
+        w = wb * u * hcpp.zeta2(u, engine.scenario.hcpp) * (2.0 * r * np.sin(beta))
         total += [float((w * ang).sum()) for ang in _angular(u, r, beta, ps)]
     # region B: full circle, u in (max(delta, 2r), c); empty for r >= delta
     lo, c = max(delta, 2.0 * r), max(2.0 * delta, 2.0 * r)
     if lo < c:
         edges = [lo, 1.5 * delta, c] if lo < 1.5 * delta else [lo, c]
         u, wu = _panelize(edges, _GL32_NODES, _GL32_WEIGHTS)
-        w = wu * u * engine.second_moment(u)
+        w = wu * u * hcpp.zeta2(u, engine.scenario.hcpp)
         total += [float((w * ang).sum()) for ang in _angular(u, r, np.zeros_like(u), ps)]
     return total + [flat_tail_single(engine, r, c, p) for p in ps]
 

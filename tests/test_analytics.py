@@ -7,7 +7,7 @@ import numpy as np
 import oracles
 import pytest
 
-from greencell import analytics
+from greencell import analytics, hcpp
 from greencell.analytics import AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel, TrafficModel
 from greencell.errors import InterferenceDivergenceError, MonotonicityError, ParameterError
@@ -57,8 +57,6 @@ def test_scenario_validation():
 def test_retain_probability_modes():
     s = Scenario(PARAMS)
     assert s.retain_probability == pytest.approx(zeta1(PARAMS) / PARAMS.lambda_b, rel=1e-12)
-    flipped = Scenario(PARAMS, random_mode="remove")
-    assert flipped.retain_probability == pytest.approx(1.0 - s.retain_probability, rel=1e-12)
 
 
 def test_active_density_by_strategy(matern_engine, ppp_engine):
@@ -110,7 +108,7 @@ def flat_stretch(eng, r, c, p_exp, n_psi=128):
     psi = 2.0 * np.pi * np.arange(n_psi) / n_psi
     dist_sq = u[:, None] ** 2 + r**2 - 2.0 * u[:, None] * r * np.cos(psi)
     circle = 2.0 * np.pi * (dist_sq ** (-p_exp / 2.0)).mean(axis=1)
-    return float(eng.second_moment(c)) * float((wu * u * circle).sum())
+    return zeta2(c, eng.scenario.hcpp) * float((wu * u * circle).sum())
 
 
 @pytest.mark.parametrize("delta", [100.0, 200.0])
@@ -132,13 +130,12 @@ def test_kernel_quadrature_cost(monkeypatch):
     # engine; ppp and random: the closed form, with no panel and no
     # second-moment call
     points = []
-    moment = AnalyticEngine.second_moment
 
-    def counted(self, u):
+    def counted(u, p):
         points.append(np.size(u))
-        return moment(self, u)
+        return zeta2(u, p)
 
-    monkeypatch.setattr(AnalyticEngine, "second_moment", counted)
+    monkeypatch.setattr(hcpp, "zeta2", counted)
     eng = _engine("matern")
     eng._flat_moment
     assert points == [1]

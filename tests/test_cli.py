@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -182,10 +183,46 @@ def test_cli_import_loads_only_what_a_run_needs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_unknown_config_key_exit_code(tmp_path):
+def test_unknown_config_key_exit_code(tmp_path, capsys):
+    # random_mode is no key: the random strategy keeps the hard core's density
     bad = tmp_path / "bad.cfg"
-    bad.write_text("bogus=1\n")
-    assert cli.main(["analytic", "--config", str(bad)]) == 1
+    for key in ("bogus", "random_mode"):
+        bad.write_text(f"{key}=remove\n")
+        assert cli.main(["analytic", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# every flag of each command, -h aside: each is read, and no other is accepted
+COMMAND_FLAGS = {
+    "analytic": {"--config", "--seed", "--out", "--shadowing-convention", "--strategy"},
+    "simulate": {"--config", "--seed", "--out", "--shadowing-convention", "--strategy"},
+    "sweep": {"--config", "--seed", "--out", "--shadowing-convention", "--param", "--values", "--strategies",
+              "--engine"},
+    "compare": {"--config", "--seed", "--out", "--shadowing-convention", "--strategy", "--r-int"},
+    "validate-asymptotics": {"--config", "--seed", "--antennas", "--trials"},
+}
+
+
+def test_each_command_takes_the_flags_it_reads():
+    (commands,) = [a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"} for name, p in commands.items()}
+    assert flags == COMMAND_FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-asymptotics", "--out", "OUT"],
+    # --strategy is no abbreviation of --strategies either
+    ["sweep", "--out", "OUT", "--param", "delta", "--values", "100", "--strategy", "ppp"],
+    ["compare", "--out", "OUT", "--gnuplot"],
+    ["analytic", "--out", "OUT", "--random-mode", "remove"],
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(cfg_file, tmp_path, capsys, argv):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert cli.main(argv + ["--config", cfg_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exit_code(cfg_file):
@@ -229,32 +266,6 @@ def test_compare_writes_report(cfg_file, tmp_path):
     assert [item["realizations_requested"] for item in report] == [40, 40, 40, 40]
     assert report[0]["realizations_used"] == report[2]["realizations_used"] == 40
     assert 2 <= report[1]["realizations_used"] <= 40
-
-
-def test_gnuplot_script_emitted(cfg_file, tmp_path):
-    out = tmp_path / "out"
-    assert (
-        cli.main(
-            [
-                "sweep",
-                "--config",
-                cfg_file,
-                "--param",
-                "delta",
-                "--values",
-                "100,200",
-                "--strategies",
-                "matern",
-                "--engine",
-                "analytic",
-                "--out",
-                str(out),
-                "--gnuplot",
-            ]
-        )
-        == 0
-    )
-    assert "results.csv" in (out / "plot.gp").read_text()
 
 
 def test_row_failure_keeps_sweep_running(tmp_path):
@@ -313,13 +324,16 @@ def test_shadowing_convention_is_recorded(tmp_path):
 
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("random_mode=remove\nshadowing_convention=db-std\nseed=3\n")
+    cfg.write_text("strategy=random\nshadowing_convention=db-std\nseed=3\n")
     parser = cli.build_parser()
     loaded = cli._load_config(parser.parse_args(["analytic", "--config", str(cfg)]))
-    assert (loaded.random_mode, loaded.shadowing_convention, loaded.seed) == ("remove", "db-std", 3)
-    argv = ["analytic", "--config", str(cfg), "--random-mode", "retain", "--shadowing-convention", "paper-moments"]
+    assert (loaded.strategy, loaded.shadowing_convention, loaded.seed) == ("random", "db-std", 3)
+    argv = ["analytic", "--config", str(cfg), "--strategy", "ppp", "--shadowing-convention", "paper-moments"]
     loaded = cli._load_config(parser.parse_args(argv))
-    assert (loaded.random_mode, loaded.shadowing_convention, loaded.seed) == ("retain", "paper-moments", 3)
+    assert (loaded.strategy, loaded.shadowing_convention, loaded.seed) == ("ppp", "paper-moments", 3)
+    # a command without --strategy or --shadowing-convention keeps the file's values
+    loaded = cli._load_config(parser.parse_args(["validate-asymptotics", "--config", str(cfg), "--seed", "5"]))
+    assert (loaded.strategy, loaded.shadowing_convention, loaded.seed) == ("random", "db-std", 5)
 
 
 def test_bad_antenna_list_is_an_input_error(cfg_file, capsys):

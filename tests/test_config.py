@@ -97,14 +97,16 @@ def test_parse_config_file(tmp_path):
 
 
 def test_shadowing_convention_and_random_mode_keys():
-    assert (cfgmod.RunConfig().shadowing_convention, cfgmod.RunConfig().random_mode) == ("paper-moments", "retain")
-    cfg = cfgmod.parse_config_text("shadowing_convention=db-std\nrandom_mode=remove\nstrategy=random\n")
+    # shadowing_convention is a key; random_mode is none: random keeps the hard core's density
+    assert cfgmod.RunConfig().shadowing_convention == "paper-moments"
+    cfg = cfgmod.parse_config_text("shadowing_convention=db-std\nstrategy=random\n")
     s = cfgmod.to_scenario(cfg)
-    assert (s.shadowing.convention, s.random_mode) == ("db-std", "remove")
+    assert (s.shadowing.convention, s.strategy) == ("db-std", "random")
     assert cfgmod.parse_config_text(cfgmod.serialize_config(cfg)) == cfg
-    for bad in ("shadowing_convention=linear", "random_mode=keep"):
-        with pytest.raises(ParameterError, match=bad.split("=")[0]):
-            cfgmod.parse_config_text(bad)
+    with pytest.raises(ParameterError, match="shadowing_convention must be one of"):
+        cfgmod.parse_config_text("shadowing_convention=linear")
+    with pytest.raises(ParameterError, match="^unknown config keys: random_mode$"):
+        cfgmod.parse_config_text("random_mode=retain")
 
 
 def _leaves(obj, prefix=""):
