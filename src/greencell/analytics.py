@@ -25,30 +25,50 @@ from .channel import RadioParams, ShadowingModel, TrafficModel
 from .errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from .hcpp import HcppParams
 from .quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS
-from .quadrature import _SMOOTH_NODES, _SMOOTH_WEIGHTS, _panelize, regula_falsi
+from .quadrature import _SMOOTH16_NODES, _SMOOTH16_WEIGHTS, _panelize, regula_falsi
 
 STRATEGIES = ("ppp", "matern", "random")
 PAIR_NODES = 96  # quadrature nodes of the station-pair power kernel, interpolated onto 4096 in ln u
+PAIR_CHUNK = 16  # of them per pass of its build, which keeps each node array near 256 kB
 # cos psi and weights of the 32-node rule on [0, pi], as ``_panelize`` maps it, shared by all full-circle nodes
 _CIRCLE_COS, _CIRCLE_W = np.cos(0.5 * np.pi + 0.5 * np.pi * _GL32_NODES), 0.5 * np.pi * _GL32_WEIGHTS
+# the flat-ended 16-node rule on [0, 1], the station-pair table's angles in units of their range,
+# and cos(pi tau), the whole half circle's
+_TAU16 = 0.5 + 0.5 * _SMOOTH16_NODES
+_HALF_COS = np.cos(np.pi * _TAU16)
 
 
 @lru_cache(maxsize=32)
 def _pair_table(model, alpha: float, hard_core: float):
     """(ln u_0, step, ln h, its differences) on 4098 uniform ln u for ``AnalyticEngine.pair_kernel``
     per (hashable) nearest-distance model and alpha, at unit density for a Rayleigh law: 6-point
-    Lagrange in s from ``PAIR_NODES`` quadratures, one at a time, at uniform s (README, Numerical notes)."""
+    Lagrange in s from ``PAIR_NODES`` quadratures at uniform s, on flat-ended 16-node panels in r
+    and psi, up to ``PAIR_CHUNK`` nodes with as many radial edges per pass (README, Numerical notes)."""
     r_sup = model.support_radius()
     u_lo = hard_core or 1e-4 * r_sup
     span, grade = np.log(1e2 * r_sup / u_lo), 2 if hard_core else 1
+    u = u_lo * np.exp(span * np.linspace(0.0, 1.0, PAIR_NODES) ** grade)
+    # radial edges 0, delta/2, u/2 growing 8-fold, r_sup/2 and r_sup, capped at r_sup: each node's distinct ones
+    ends = np.repeat([[0.0, hard_core / 2.0, r_sup / 2.0, r_sup]], PAIR_NODES, axis=0)
+    edges = np.sort(np.minimum(np.column_stack([ends, 0.5 * u[:, None] * 8.0 ** np.arange(6)]), r_sup), axis=1)
+    fresh = np.diff(edges, axis=1, prepend=-1.0) > 0
+    count = fresh.sum(axis=1)
     y = np.empty(PAIR_NODES)
-    for j, u in enumerate(u_lo * np.exp(span * np.linspace(0.0, 1.0, PAIR_NODES) ** grade)):
-        edges = sorted(set(np.minimum([0.0, hard_core / 2.0, *(0.5 * u * 8.0 ** np.arange(6)), r_sup], r_sup).tolist()))
-        r, w = _panelize(edges, _SMOOTH_NODES, _SMOOTH_WEIGHTS)
-        psi_edges = np.stack([np.arccos(np.minimum(1.0, u / (2.0 * r))), np.full_like(r, np.pi)], axis=-1)
-        psi, wpsi = _panelize(psi_edges, _SMOOTH_NODES, _SMOOTH_WEIGHTS)
-        d2 = u * u + r[:, None] ** 2 - 2.0 * u * r[:, None] * np.cos(psi)
-        y[j] = np.log((w * model.pdf(r) * (wpsi * d2 ** (-alpha / 2.0)).sum(axis=1)).sum() / np.pi)
+    for k in set(count.tolist()):
+        group = np.flatnonzero(count == k)
+        for j in np.split(group, range(PAIR_CHUNK, group.size, PAIR_CHUNK)):
+            r, w = _panelize(edges[j][fresh[j]].reshape(-1, k), _SMOOTH16_NODES, _SMOOTH16_WEIGHTS)
+            uj = u[j, None]
+            # psi over [pi - theta, pi], cos(pi - theta) = -min(1, u / 2r): the half circle, less the
+            # angles that put the user nearer this station than its own; cos psi = -cos(theta tau)
+            theta = np.arccos(-np.minimum(1.0, uj / (2.0 * r)))
+            d2, sector = np.tile(_HALF_COS, (*r.shape, 1)), theta < np.pi
+            d2[sector] = np.cos(theta[sector, None] * _TAU16)
+            d2 *= (2.0 * uj * r)[..., None]  # in place from here: u^2 + r^2 - 2ur cos(psi), then d^-alpha
+            d2 += (uj * uj + r * r)[..., None]
+            np.power(d2, -alpha / 2.0, out=d2)
+            d2 *= _SMOOTH16_WEIGHTS
+            y[j] = np.log((w * model.pdf(r) * (0.5 * theta) * d2.sum(axis=-1)).sum(axis=-1) / np.pi)
     t = np.linspace(0.0, 1.0, 4096) ** (1.0 / grade) * (PAIR_NODES - 1)
     i = np.clip(np.floor(t).astype(int) - 2, 0, PAIR_NODES - 6)
     ln_h = sum(np.prod([(t - i - b) / (a - b) for b in range(6) if b != a], axis=0) * y[i + a] for a in range(6))
@@ -99,8 +119,8 @@ class AnalyticEngine:
     """Evaluates the closed-form metrics for one scenario.
 
     All methods are pure; a few per-scenario tables (the SINR-vs-distance
-    grid and the fitted nearest-distance model) are computed lazily once
-    and then read-only.
+    grid, the fitted nearest-distance model and each threshold's coverage
+    radius) are computed lazily once and then read-only.
     """
 
     #: inversion grid for SINR(r); log-spaced
@@ -114,6 +134,7 @@ class AnalyticEngine:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        self._radii: dict[float, InversionResult] = {}  # ``coverage_radius`` per SINR threshold
 
     # ---- strategy-dependent geometry -------------------------------------
 
@@ -399,7 +420,9 @@ class AnalyticEngine:
         if rho < 0:
             raise ParameterError("rho must be >= 0")
         gamma_t = float(2.0**rho - 1.0) if rho < 1024 else np.inf  # 2.0**1024 overflows
-        return self.invert_sinr(gamma_t)
+        if gamma_t not in self._radii:
+            self._radii[gamma_t] = self.invert_sinr(gamma_t)
+        return self._radii[gamma_t]
 
     def coverage_efficiency(self, rho: float) -> float:
         """P(mean-interference rate > ``rho``): the serving-distance CDF at ``coverage_radius``."""

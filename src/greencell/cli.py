@@ -80,7 +80,7 @@ def _compute_row(point, scenario: Scenario, engine_name, param, value) -> Result
         else:
             window = cfgmod.to_window(point)
             mode = "sampled" if point.traffic_mode in ("sampled", "marginalized") else "at-mean"
-            ee_mc, ce_mc = mc.run_estimators(scenario, window, point.realizations, point.seed, [
+            (ee_mc, _), ce_mc = mc.run_estimators(scenario, window, point.realizations, point.seed, [
                 mc.ee_estimator(engine, window), mc.ce_estimator(engine, window, traffic_mode=mode)])
             ee, ce, ci_ee, ci_ce = ee_mc.mean, ce_mc.mean, 1.96 * ee_mc.std_error, 1.96 * ce_mc.std_error
             diagnostics = {name: {"realizations_requested": point.realizations,
@@ -131,9 +131,8 @@ def _trend_assertions(rows: list[ResultRow], param: str) -> list[dict]:
 
 def _write_outputs(out_dir, rows, cfg, assertions, wall_clock):
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "results.csv")
     lines = [CSV_HEADER] + [r.to_csv() for r in rows]
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     cfg_text = cfgmod.serialize_config(cfg)
     summary = {
@@ -155,7 +154,6 @@ def _write_outputs(out_dir, rows, cfg, assertions, wall_clock):
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return csv_path
 
 
 def _load_config(args) -> cfgmod.RunConfig:
@@ -270,11 +268,10 @@ def _cmd_compare(args) -> int:
     ee_ana = engine.energy_efficiency(p_ana)
     ce_ana = engine.coverage_efficiency_traffic("at-mean")
     radius = engine.coverage_radius(scenario.traffic.mean())
-    i_mc, ee_mc, ce_mc, p_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
+    i_mc, (ee_mc, p_mc), ce_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
         mc.interference_estimator(engine, window, args.r_int),
         mc.ee_estimator(engine, window),
         mc.serving_cdf_estimator(window, radius.r),
-        mc.power_estimator(engine, window),
     ])
     jensen_ok = ee_ana <= ee_mc.mean + 3.0 * ee_mc.std_error
     report = [

@@ -115,7 +115,8 @@ def _typical_users(engine: AnalyticEngine, window: Window, active: np.ndarray, r
 def station_power(engine: AnalyticEngine, window: Window, active: np.ndarray) -> np.ndarray:
     """Transmit power m p_p E[omega] k sum_{j != i} h(|x_i - x_j|) of the first ``POWER_STATIONS``
     stations i in the measurement region (none when it holds no station or ``active`` only one):
-    ``pair_kernel`` h integrates out the other cells' users; the own cell's sum diverges."""
+    ``pair_kernel`` h integrates out the other cells' users; the own cell's sum diverges.  Each EE
+    realization measures it once, and its mean is both EE's power and ``compare``'s transmit power."""
     idx = np.flatnonzero(geometry.in_measurement_region(active, window))[:POWER_STATIONS]
     if len(idx) == 0 or len(active) < 2:
         return np.zeros(0)
@@ -208,8 +209,9 @@ def estimate_interference(engine, window, r_int, n, master_seed) -> McEstimate:
 
 def ee_estimator(engine: AnalyticEngine, window: Window):
     """Empirical energy efficiency: mean per-cell sum rate over mean
-    per-station power.  Realizations with no active station or no
-    measured station power are skipped."""
+    per-station power, with the per-realization mean ``station_power``'s own
+    estimate; ``reduce`` returns both.  Realizations with no active station
+    or no measured station power are skipped."""
 
     def measure(active, rng):
         if len(active) == 0:
@@ -217,31 +219,22 @@ def ee_estimator(engine: AnalyticEngine, window: Window):
         rate, power = run_realization(engine, window, active, rng)
         if len(power) == 0:
             return None
-        return engine.k_ue * float(rate.mean()), engine.bs_power(float(power.mean()))
+        return engine.k_ue * float(rate.mean()), float(power.mean())
 
     def reduce(kept):  # ratio of means, with a delta-method standard error
-        rates, powers = np.asarray(kept, float).reshape(-1, 2).T
+        rates, p_tx = np.asarray(kept, float).reshape(-1, 2).T
+        powers = np.array([engine.bs_power(p) for p in p_tx.tolist()])
         mean_power = powers.mean()
         ratio = rates.mean() / mean_power
         resid = (rates - ratio * powers) / mean_power
-        return McEstimate(float(ratio), float(resid.std(ddof=1) / np.sqrt(len(rates))), len(rates))
+        return McEstimate(float(ratio), float(resid.std(ddof=1) / np.sqrt(len(rates))), len(rates)), _mc_estimate(p_tx)
 
     return measure, reduce
 
 
 def estimate_ee(engine, window, n, master_seed) -> McEstimate:
-    """``ee_estimator`` over ``n`` realizations."""
-    return run_estimators(engine.scenario, window, n, master_seed, [ee_estimator(engine, window)])[0]
-
-
-def power_estimator(engine: AnalyticEngine, window: Window):
-    """Mean ``station_power`` per realization; skips those with no measured station, as EE."""
-
-    def measure(active, rng):
-        power = station_power(engine, window, active)
-        return float(power.mean()) if len(power) else None
-
-    return measure, _mc_estimate
+    """``ee_estimator``'s energy efficiency over ``n`` realizations."""
+    return run_estimators(engine.scenario, window, n, master_seed, [ee_estimator(engine, window)])[0][0]
 
 
 def ce_estimator(engine: AnalyticEngine, window: Window, traffic_mode: str = "at-mean"):

@@ -9,9 +9,10 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from greencell import geometry, hcpp, mc
+from greencell.analytics import PAIR_NODES
 from greencell.errors import ParameterError
 from greencell.geometry import Window
-from greencell.quadrature import _GL32_NODES, _GL32_WEIGHTS, _SMOOTH_NODES, _SMOOTH_WEIGHTS, _mirror, _panelize
+from greencell.quadrature import _GL32_NODES, _GL32_WEIGHTS, _flat_ends, _mirror, _panelize
 
 # Positive half of the 64-node Gauss-Legendre rule, each node and weight the double nearest
 # its exact value (tests/test_analytics.py checks them against a 50-digit rule): the angular
@@ -36,6 +37,9 @@ GL64_W = (
     0.001783280721696433,
 )
 GL64_NODES, GL64_WEIGHTS = _mirror(GL64_X, GL64_W)
+# the 32-node rule with flat ends: the change-of-variables reference's panels, and the
+# station-pair table's as the package once built it
+_SMOOTH_NODES, _SMOOTH_WEIGHTS = _flat_ends(_GL32_NODES, _GL32_WEIGHTS)
 
 
 def nearest_distance(origin, points: np.ndarray) -> float:
@@ -325,3 +329,26 @@ def scaled_pair_kernel(engine, u: float) -> float:
     edges = sorted({0.0, engine._hard_core / 2.0, r_sup, *(e for e in 0.5 * u * 4.0 ** np.arange(40) if e < r_sup)})
     return sum(quad(lambda r: model.pdf(r) * angular(r), a, b, epsabs=0.0, epsrel=1e-10)[0]
                for a, b in zip(edges[:-1], edges[1:]))
+
+
+def pair_table_32(model, alpha: float, hard_core: float):
+    """``analytics._pair_table`` as the package once built it, the reference of its error budget:
+    (ln u_0, step, ln h, its differences) on 4098 uniform ln u, 6-point Lagrange in s from
+    ``PAIR_NODES`` quadratures, one at a time, on flat-ended 32-node panels in r and psi."""
+    r_sup = model.support_radius()
+    u_lo = hard_core or 1e-4 * r_sup
+    span, grade = np.log(1e2 * r_sup / u_lo), 2 if hard_core else 1
+    y = np.empty(PAIR_NODES)
+    for j, u in enumerate(u_lo * np.exp(span * np.linspace(0.0, 1.0, PAIR_NODES) ** grade)):
+        edges = sorted(set(np.minimum([0.0, hard_core / 2.0, *(0.5 * u * 8.0 ** np.arange(6)), r_sup], r_sup).tolist()))
+        r, w = _panelize(edges, _SMOOTH_NODES, _SMOOTH_WEIGHTS)
+        psi_edges = np.stack([np.arccos(np.minimum(1.0, u / (2.0 * r))), np.full_like(r, np.pi)], axis=-1)
+        psi, wpsi = _panelize(psi_edges, _SMOOTH_NODES, _SMOOTH_WEIGHTS)
+        d2 = u * u + r[:, None] ** 2 - 2.0 * u * r[:, None] * np.cos(psi)
+        y[j] = np.log((w * model.pdf(r) * (wpsi * d2 ** (-alpha / 2.0)).sum(axis=1)).sum() / np.pi)
+    t = np.linspace(0.0, 1.0, 4096) ** (1.0 / grade) * (PAIR_NODES - 1)
+    i = np.clip(np.floor(t).astype(int) - 2, 0, PAIR_NODES - 6)
+    ln_h = sum(np.prod([(t - i - b) / (a - b) for b in range(6) if b != a], axis=0) * y[i + a] for a in range(6))
+    step = span / 4095  # one node more at each end, on the asymptotes u^(2 - alpha) and u^(-alpha)
+    ln_h = np.concatenate([[ln_h[0] - (2.0 - alpha) * step], ln_h, [ln_h[-1] - alpha * step]])
+    return np.log(u_lo) - step, step, ln_h, np.diff(ln_h)

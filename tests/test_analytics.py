@@ -12,7 +12,7 @@ from greencell.analytics import AnalyticEngine, Scenario
 from greencell.channel import RadioParams, ShadowingModel, TrafficModel
 from greencell.errors import InterferenceDivergenceError, MonotonicityError, ParameterError
 from greencell.hcpp import HcppParams, zeta1, zeta2
-from greencell.quadrature import _GH_NODES, _GH_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS
+from greencell.quadrature import _GH_NODES, _GH_WEIGHTS, _GL16_NODES, _GL16_WEIGHTS, _GL32_NODES, _GL32_WEIGHTS
 
 PARAMS = HcppParams(1e-4, 200.0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -300,6 +300,54 @@ def test_pair_kernel_matches_quadrature_oracle(strategy, u):
     eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
     h = float(eng.pair_kernel(np.array([u * u]))[0])
     assert abs(h * u**eng.scenario.radio.alpha / oracles.scaled_pair_kernel(eng, u) - 1.0) <= 1e-4
+
+
+def _pair_table_laws():
+    laws = [pytest.param(hcpp.RayleighNearestModel(1.0), 0.0, id="rayleigh-unit")]
+    for lam in (2e-5, 1e-4, 4e-4):
+        for delta in (50.0, 150.0, 200.0, 333.3):
+            laws.append(pytest.param(HcppParams(lam, delta), delta, id=f"matern-{lam:g}-{delta:g}"))
+    return laws
+
+
+@pytest.mark.parametrize("law, hard_core", _pair_table_laws())
+def test_pair_table_matches_32_node_build(law, hard_core):
+    # the 16-node chunked build against the per-node 32-node one it replaced: same
+    # grid, and ln h within 1e-5 over the whole table (README, Numerical notes)
+    model = hcpp.fit_nearest_model(law) if isinstance(law, HcppParams) else law
+    for alpha in (3.5, 4.0, 4.7):
+        x0, step, ln_h, _ = analytics._pair_table.__wrapped__(model, alpha, hard_core)
+        x0_ref, step_ref, ln_h_ref, _ = oracles.pair_table_32(model, alpha, hard_core)
+        assert (x0, step) == (x0_ref, step_ref)
+        assert np.abs(ln_h - ln_h_ref).max() <= 1e-5
+
+
+class _CountedLaw:
+    """A nearest-distance law whose ``pdf`` calls are recorded; its support radius is the law's."""
+
+    def __init__(self, model):
+        self.model, self.shapes = model, []
+
+    def support_radius(self):
+        return self.model.support_radius()
+
+    def pdf(self, r):
+        self.shapes.append(np.shape(r))
+        return self.model.pdf(r)
+
+
+@pytest.mark.parametrize("strategy", ["matern", "ppp"])
+def test_pair_table_build_cost(strategy):
+    # a few passes of at most PAIR_CHUNK nodes each, every node once, and node arrays
+    # (r nodes x 16 angles) within 256 kB; the per-node build made PAIR_NODES calls
+    eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy))
+    model = hcpp.RayleighNearestModel(1.0) if strategy == "ppp" else eng.nearest_model
+    law = _CountedLaw(model)
+    analytics._pair_table.__wrapped__(law, eng.scenario.radio.alpha, eng._hard_core)
+    assert len(law.shapes) <= 10
+    assert all(len(s) == 2 and s[0] <= analytics.PAIR_CHUNK for s in law.shapes)
+    assert sum(s[0] for s in law.shapes) == analytics.PAIR_NODES
+    assert max(s[0] * s[1] for s in law.shapes) * 16 * 8 <= 256 * 1024
 
 
 @pytest.mark.parametrize(
@@ -697,11 +745,12 @@ def _max_ulps(values, exact):
 @pytest.mark.parametrize(
     "family, n, x, w",
     [
+        ("legendre", 16, _GL16_NODES, _GL16_WEIGHTS),
         ("legendre", 32, _GL32_NODES, _GL32_WEIGHTS),
         ("legendre", 64, oracles.GL64_NODES, oracles.GL64_WEIGHTS),
         ("hermite", 96, _GH_NODES, _GH_WEIGHTS),
     ],
-    ids=["legendre-32", "legendre-64", "hermite-96"],
+    ids=["legendre-16", "legendre-32", "legendre-64", "hermite-96"],
 )
 def test_gauss_rules_match_50_digit_oracle(family, n, x, w):
     # the analytic engine's shipped rules: nodes and weights correctly rounded

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from greencell import cli, mc
+from greencell import config as cfgmod
+from greencell.analytics import AnalyticEngine
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -374,6 +376,47 @@ def test_analytic_demand_beyond_float_range_exits_zero(tmp_path, capsys):
     assert cli.main(["analytic", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     row = capsys.readouterr().out.strip().split(",")
     assert 0.0 < float(row[8]) < 1e-4
+
+
+@pytest.mark.parametrize("window_m, seed", [(3000.0, 1), (400.0, 2)])
+def test_compare_transmit_power_is_the_mean_station_power(tmp_path, window_m, seed):
+    # the transmit-power item is the estimate of each realization's mean station_power over
+    # the realizations that have one, bit for bit; a 400 m region is empty in some of them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"window_m={window_m}\nguard_m=600\nrealizations=30\nshadowing_convention=db-std\n")
+    cli.main(["compare", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path)])
+    report = {item["quantity"]: item for item in json.loads((tmp_path / "compare.json").read_text())}
+    point = cfgmod.parse_config(str(cfg))
+    scenario, window = cfgmod.to_scenario(point), cfgmod.to_window(point)
+    engine, means = AnalyticEngine(scenario), []
+    for k in range(30):
+        power = mc.station_power(engine, window, mc.sample_active(scenario, window, mc.child_rng(seed, k)))
+        if len(power):
+            means.append(float(power.mean()))
+    want = mc._mc_estimate(means)
+    power = report["transmit-power"]
+    assert (power["mc_mean"], power["mc_se"]) == (want.mean, want.std_error)
+    assert power["realizations_used"] == want.realization_count == report["energy-efficiency"]["realizations_used"]
+    assert (want.realization_count < 30) == (window_m == 400.0)
+
+
+def test_compare_inverts_the_sinr_once(cfg_file, tmp_path, monkeypatch):
+    # the analytic coverage at the mean demand and the Monte Carlo coverage radius share
+    # one inversion, and read what a fresh engine's inversion gives
+    gammas, invert = [], AnalyticEngine.invert_sinr
+
+    def counted(self, gamma):
+        gammas.append(gamma)
+        return invert(self, gamma)
+
+    monkeypatch.setattr(AnalyticEngine, "invert_sinr", counted)
+    cli.main(["compare", "--config", cfg_file, "--out", str(tmp_path)])
+    assert len(gammas) == 1
+    coverage = [i for i in json.loads((tmp_path / "compare.json").read_text()) if i["quantity"] == "coverage-efficiency"][0]
+    engine = AnalyticEngine(cfgmod.to_scenario(cfgmod.parse_config(cfg_file)))
+    r, clipped = invert(engine, gammas[0])
+    assert (coverage["coverage_radius_m"], coverage["radius_clipped"]) == (r, clipped)
+    assert coverage["analytic"] == min(float(engine.nearest_model.cdf(r)), 1.0)
 
 
 @pytest.mark.parametrize("r_int", ["inf", "nan"])

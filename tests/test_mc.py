@@ -206,7 +206,7 @@ def test_shared_realizations_match_single_estimators(monkeypatch):
         mc.ce_estimator(eng, WINDOW, traffic_mode="sampled"),
         mc.interference_estimator(eng, WINDOW, 100.0),
     ]
-    ee, ce, interference = mc.run_estimators(sc, WINDOW, 12, 5, estimators)
+    (ee, _), ce, interference = mc.run_estimators(sc, WINDOW, 12, 5, estimators)
     assert len(draws) == 12
     assert ee == mc.estimate_ee(eng, WINDOW, 12, 5)
     assert ce == mc.estimate_ce(eng, WINDOW, 12, 5, traffic_mode="sampled")
