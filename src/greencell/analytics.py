@@ -155,14 +155,15 @@ class AnalyticEngine:
 
     @cached_property
     def nearest_model(self):
-        s = self.scenario
-        if s.strategy == "matern":
-            return hcpp.fit_nearest_model(s.hcpp)
+        """The hard-core law where stations repel, else the Poisson contact law
+        (``ppp``, ``random`` and ``matern`` at delta = 0 are one process)."""
+        if self._hard_core > 0:
+            return hcpp.fit_nearest_model(self.scenario.hcpp)
         return hcpp.RayleighNearestModel(self.active_density)
 
     @cached_property
     def lambda_star_fit(self) -> float:
-        if self.scenario.strategy == "matern":
+        if self._hard_core > 0:
             return self.nearest_model.lambda_star_fit
         return self.active_density
 
@@ -362,19 +363,17 @@ class AnalyticEngine:
         t += y[k]
         return np.exp(t, out=t)
 
-    def bs_power(self, p_tx: float | None = None) -> float:
+    def bs_power(self, p_tx: float) -> float:
         """Linear station power model: amplifier draw plus RF chains plus static."""
         s = self.scenario
-        if p_tx is None:
-            p_tx = self.avg_tx_power()
         if p_tx < 0:
             raise ParameterError("p_tx must be >= 0")
         return p_tx / s.radio.eta + s.radio.antennas_m * s.radio.p_rf_chain + s.radio.p_sta
 
-    def energy_efficiency(self, p_tx: float | None = None) -> float:
+    def energy_efficiency(self) -> float:
         """Area rate over area power; the active density cancels, leaving the
         per-cell sum rate over the per-station power draw."""
-        return self.avg_cell_rate() / self.bs_power(p_tx)
+        return self.avg_cell_rate() / self.bs_power(self.avg_tx_power())
 
     # ---- SINR-vs-distance and coverage -----------------------------------
 

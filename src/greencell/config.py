@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .analytics import STRATEGIES, Scenario
 from .channel import CONVENTIONS, RadioParams, ShadowingModel, TrafficModel, noise_power_from_dbm
@@ -60,8 +61,7 @@ class RunConfig:
             raise ParameterError("seed must be >= 0")
 
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"antennas_m", "ues_per_cell_l", "realizations", "seed"}
+_TYPES = get_type_hints(RunConfig)  # key -> int, float or str, as annotated
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -75,14 +75,14 @@ def parse_config_text(text: str) -> RunConfig:
             raise ParameterError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _FIELDS:
+        if key not in _TYPES:
             unknown.append(key)
             continue
         if key in _CHOICES:
             values[key] = val
         else:
             try:
-                values[key] = int(val) if key in _INT_KEYS else float(val)
+                values[key] = _TYPES[key](val)
             except ValueError as exc:
                 raise ParameterError(f"line {lineno}: bad value for {key}: {val!r}") from exc
             if not math.isfinite(values[key]):

@@ -57,27 +57,19 @@ def union_area(r, delta: float):
     return out if out.ndim else float(out)
 
 
-def phi(r, p: HcppParams):
-    """Pair-retention kernel: probability density factor that two parent points
-    at distance ``r`` both survive the thinning.  Zero inside the hard core."""
+def zeta2(r, p: HcppParams):
+    """Second-order product density of the thinned process (m^-4) for a hard core
+    delta > 0: lambda_b^2 times the density factor that two parent points ``r``
+    apart both survive the thinning.  Zero inside the hard core."""
     r = np.asarray(r, float)
     a = np.pi * p.delta**2
-    if p.delta == 0:
-        out = np.ones_like(r)
-        return out if out.ndim else float(out)
     v = np.asarray(union_area(r, p.delta), float)
     lam = p.lambda_b
     with np.errstate(divide="ignore", invalid="ignore"):
         num = 2.0 * v * -np.expm1(-lam * a) - 2.0 * a * -np.expm1(-lam * v)
         den = lam**2 * a * v * (v - a)
         val = num / den
-    out = np.where(r > p.delta, val, 0.0)
-    return out if out.ndim else float(out)
-
-
-def zeta2(r, p: HcppParams):
-    """Second-order product density of the thinned process (m^-4)."""
-    out = p.lambda_b**2 * np.asarray(phi(r, p), float)
+    out = lam**2 * np.where(r > p.delta, val, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -104,7 +96,8 @@ def excluded_area(r, delta: float):
 
 @dataclass(frozen=True)
 class NearestPdfModel:
-    """Fitted nearest-active-station distance PDF for the hard-core process.
+    """Fitted nearest-active-station distance PDF for the hard-core process,
+    delta > 0 (without a hard core the contact law is ``RayleighNearestModel``).
 
     ``lambda_star_fit`` is the normalization constant making the PDF proper;
     it is distinct from the active density zeta1 (both are reported).
@@ -113,18 +106,19 @@ class NearestPdfModel:
     params: HcppParams
     lambda_star_fit: float
 
+    def __post_init__(self) -> None:
+        if not self.params.delta > 0:
+            raise ParameterError(f"delta must be > 0, got {self.params.delta}")
+
     @property
     def prefactor(self) -> float:
         p = self.params
-        if p.delta == 0:
-            return 2.0 * np.pi * p.lambda_b
         return 2.0 * -np.expm1(-p.lambda_b * np.pi * p.delta**2) / p.delta**2
 
     def pdf(self, r):
         r = np.asarray(r, float)
-        d = self.params.delta
-        area = excluded_area(r, d) if d > 0 else np.pi * r**2 / 2.0  # half disk at d = 0
-        out = self.prefactor * r * np.exp(-self.lambda_star_fit * np.asarray(area, float))
+        area = np.asarray(excluded_area(r, self.params.delta), float)
+        out = self.prefactor * r * np.exp(-self.lambda_star_fit * area)
         return out if out.ndim else float(out)
 
     def rule(self, edges):
@@ -150,7 +144,7 @@ class NearestPdfModel:
 
     def support_radius(self, tail: float = 1e-9) -> float:
         """Radius beyond which the remaining PDF mass is at most ``tail``."""
-        r = self.params.delta if self.params.delta > 0 else 1.0
+        r = self.params.delta
         while r <= 1e7 and 1.0 - self.cdf(r) > tail:
             r *= 1.5
         return r
@@ -163,7 +157,7 @@ def _pdf_integral(p: HcppParams, lam_star: float) -> float:
     return NearestPdfModel(p, lam_star).cdf(r_hi)
 
 
-def fit_lambda_star(p: HcppParams, tol: float = 1e-9) -> float:
+def fit_lambda_star(p: HcppParams) -> float:
     """Normalization constant of the nearest-distance PDF: the root of
     log(total mass) in log(constant), by bracketed regula falsi.  The mass
     is strictly decreasing in the constant, close to a power law, so the
@@ -182,8 +176,8 @@ def fit_lambda_star(p: HcppParams, tol: float = 1e-9) -> float:
 
     x, _ = regula_falsi(log_mass, np.log(lo), np.log(hi), np.log1p(f_lo), np.log1p(f_hi), 1e-15)
     root = float(np.exp(x))
-    if abs(_pdf_integral(p, root) - 1.0) > tol:
-        raise NormalizationFitError(f"converged root misses tolerance {tol:g}")
+    if abs(_pdf_integral(p, root) - 1.0) > 1e-9:
+        raise NormalizationFitError("converged root misses tolerance 1e-09")
     return root
 
 

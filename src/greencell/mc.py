@@ -296,7 +296,6 @@ def finite_m_validation(
     radio,
     seed: int,
     n_trials: int = 200,
-    ue_radius: float = 150.0,
 ) -> list[FiniteMRow]:
     """Realized matched-filter desired power versus its large-array limit.
 
@@ -315,8 +314,8 @@ def finite_m_validation(
         diag_devs = []
         for t in range(n_trials):
             rng = child_rng(seed, m, t)
-            # fixed per-trial user layout: k users around each station
-            ue = cells[:, None, :] + rng.uniform(-ue_radius, ue_radius, size=(n_cells, k, 2))
+            # fixed per-trial user layout: k users in a 300 m square around each station
+            ue = cells[:, None, :] + rng.uniform(-150.0, 150.0, size=(n_cells, k, 2))
             # large-scale gains between station i and users of cell u
             d = np.sqrt(((ue[None, :, :, :] - cells[:, None, None, :]) ** 2).sum(axis=-1))
             beta = d ** (-radio.alpha)  # (i, u, k)

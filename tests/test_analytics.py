@@ -268,10 +268,22 @@ def test_bs_power_formula(matern_engine):
 
 def test_energy_efficiency_decomposes(matern_engine):
     assert matern_engine.energy_efficiency() == pytest.approx(
-        matern_engine.avg_cell_rate() / matern_engine.bs_power(), rel=1e-12
+        matern_engine.avg_cell_rate() / matern_engine.bs_power(matern_engine.avg_tx_power()), rel=1e-12
     )
     assert matern_engine.avg_cell_rate() > 0
     assert matern_engine.avg_tx_power() > 0
+
+
+def test_no_hard_core_is_one_poisson_process():
+    # at delta = 0 no station is switched off: every strategy reads the Rayleigh law
+    engines = [AnalyticEngine(Scenario(HcppParams(1e-4, 0.0), strategy=s)) for s in ("matern", "random", "ppp")]
+    values = [
+        (e.energy_efficiency(), e.coverage_efficiency_traffic("at-mean"), e.coverage_efficiency_traffic("marginalized"),
+         e.lambda_star_fit, e.avg_tx_power())
+        for e in engines
+    ]
+    assert values[0] == values[1] == values[2]
+    assert all(isinstance(e.nearest_model, hcpp.RayleighNearestModel) for e in engines)
 
 
 @pytest.mark.parametrize("strategy, watts", [("ppp", 7554.709197430469), ("random", 601.1825596597128)])

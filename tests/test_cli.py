@@ -129,6 +129,39 @@ def test_sweep_trend_assertions_recorded(cfg_file, tmp_path):
     assert names["ee-strategy-ordering"] is True
 
 
+def test_sweep_without_hard_core_writes_one_row_for_every_strategy(tmp_path):
+    # at delta = 0 nothing is switched off: matern, random and ppp are one
+    # Poisson process, their rows differ only in the strategy, and tie in the ordering
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--param", "delta", "--values", "0,200", "--out", str(out)]) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    at_zero = {line.split(",", 1)[0]: line.split(",", 1)[1] for line in lines[1:] if ",delta,0.0," in line}
+    assert sorted(at_zero) == ["matern", "ppp", "random"]
+    assert len(set(at_zero.values())) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert {a["name"]: a["passed"] for a in summary["assertions"]}["ee-strategy-ordering"] is True
+
+
+def _analytic_row(strategy, value, density, ee):
+    return cli.ResultRow(strategy, "analytic", "delta", value, density, density, 5.0, ee, 0.5, 0.0, 0.0, 1)
+
+
+@pytest.mark.parametrize(
+    "trio, passed",
+    [
+        (((1e-5, 3.0), (1e-5, 2.0), (1e-4, 1.0)), True),  # stations switched off: strict order
+        (((1e-5, 1.0), (1e-5, 2.0), (1e-4, 3.0)), False),  # inverted
+        (((1e-5, 2.0), (1e-5, 2.0), (1e-4, 2.0)), False),  # a tie where densities differ
+        (((1e-4, 2.0), (1e-4, 2.0), (1e-4, 2.0)), True),  # one process: equal
+        (((1e-4, 3.0), (1e-4, 2.0), (1e-4, 1.0)), False),  # one process must not order
+    ],
+)
+def test_strategy_ordering_assertion(trio, passed):
+    rows = [_analytic_row(s, 100.0, d, ee) for s, (d, ee) in zip(("matern", "random", "ppp"), trio)]
+    (ordering,) = [a for a in cli._trend_assertions(rows, "delta") if a["name"] == "ee-strategy-ordering"]
+    assert ordering["passed"] is passed
+
+
 def test_sweep_antenna_assertions(cfg_file, tmp_path):
     out = tmp_path / "out"
     code = cli.main(

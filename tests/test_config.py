@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 from greencell import config as cfgmod
+from greencell.analytics import Scenario
 from greencell.errors import ParameterError
+from greencell.hcpp import HcppParams
 
 
 def test_empty_config_is_defaults():
@@ -21,6 +23,24 @@ def test_empty_config_is_defaults():
     assert cfg.eta == 0.38
     assert cfg.p_rf_chain_w == 0.048
     assert cfg.p_sta_w == 4.3
+
+
+def test_default_config_is_the_default_scenario():
+    # the reference table is written twice, as RunConfig's defaults and as the
+    # dataclass defaults every Scenario(params) test relies on: they must agree
+    assert cfgmod.to_scenario(cfgmod.RunConfig()) == Scenario(HcppParams(1e-4, 200.0))
+
+
+def test_integer_keys_parse_as_integers():
+    # every int-annotated key, and only those, parses to int and rejects a fraction
+    for f in dataclasses.fields(cfgmod.RunConfig):
+        if f.name in cfgmod._CHOICES:
+            continue
+        value = getattr(cfgmod.parse_config_text(f"{f.name}=1000"), f.name)
+        assert type(value) is type(getattr(cfgmod.RunConfig(), f.name)), f.name
+        if type(value) is int:
+            with pytest.raises(ParameterError, match=f"bad value for {f.name}"):
+                cfgmod.parse_config_text(f"{f.name}=1000.5")
 
 
 def test_unknown_keys_listed():

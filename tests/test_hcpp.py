@@ -92,10 +92,12 @@ def test_fit_lambda_star_normalizes_to_rounding(lam, delta):
     assert abs(hcpp._pdf_integral(p, hcpp.fit_lambda_star(p)) - 1.0) <= 1e-14
 
 
-def test_fit_lambda_star_zero_delta_is_twice_lambda_b():
-    # at delta = 0 the excluded area is the half disk pi r^2 / 2
-    lam = 1e-4
-    assert abs(hcpp.fit_lambda_star(HcppParams(lam, 0.0)) / (2.0 * lam) - 1.0) <= 1e-15
+def test_hard_core_law_rejects_zero_delta():
+    # without a hard core the contact law is RayleighNearestModel
+    with pytest.raises(ParameterError, match="delta must be > 0"):
+        hcpp.fit_nearest_model(HcppParams(1e-4, 0.0))
+    with pytest.raises(ParameterError, match="delta must be > 0"):
+        hcpp.NearestPdfModel(HcppParams(1e-4, 0.0), 2e-4)
 
 
 def test_nearest_model_cdf_monotone():
@@ -146,15 +148,7 @@ def test_nearest_model_cdf_matches_30_digit_oracle(lam, delta):
     assert max(abs(g / w - 1.0) for g, w in zip(got, want)) <= 1e-14
 
 
-def test_nearest_model_cdf_zero_delta_closed_form():
-    lam_star = 2e-4  # the fitted constant at delta = 0 is 2 * lambda_b
-    model = hcpp.NearestPdfModel(HcppParams(1e-4, 0.0), lam_star)
-    for r in (1.0, 30.0, 80.0, 150.0, 300.0, 6000.0):
-        want = -np.expm1(-lam_star * np.pi * r**2 / 2.0)
-        assert model.cdf(r) == pytest.approx(want, rel=1e-14)
-
-
-@pytest.mark.parametrize("lam, delta", [(1e-4, 200.0), (3e-4, 50.0), (3e-5, 150.0), (1e-4, 0.0)])
+@pytest.mark.parametrize("lam, delta", [(1e-4, 200.0), (3e-4, 50.0), (3e-5, 150.0)])
 def test_support_radius_bounds_the_tail(lam, delta):
     # the first radius on the search grid (x1.5 steps) whose remaining mass,
     # by the oracle, is <= tail
@@ -164,7 +158,7 @@ def test_support_radius_bounds_the_tail(lam, delta):
     mass = dict(zip(steps, _mp_cdf(model, steps)))
     for tail, r in radii.items():
         assert 1.0 - mass[r] <= tail
-        if r > max(delta, 1.0):
+        if r > delta:
             assert 1.0 - mass[r / 1.5] > tail
 
 

@@ -78,9 +78,14 @@ def test_public_definitions_are_used_by_the_package(child):
     unused = [
         f"{module}.{path}"
         for module, tree in trees.items()
-        if module != "__init__"
         for path, is_member in _public_definitions(tree)
         # a member is reached as an attribute; a module-level name may also be passed bare
         if path.split(".")[-1] not in (attrs if is_member else names) and (module, path) not in wrapped
     ]
     assert unused == [], f"public definitions no package code uses: {unused}"
+
+
+def test_package_root_binds_no_name():
+    # ``greencell/__init__.py`` is its docstring: every name is imported from its module
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree) and len(tree.body) == 1
