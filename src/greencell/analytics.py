@@ -44,7 +44,7 @@ def _pair_table(model, alpha: float, hard_core: float):
     per (hashable) nearest-distance model and alpha, at unit density for a Rayleigh law: 6-point
     Lagrange in s from ``PAIR_NODES`` quadratures at uniform s, on flat-ended 16-node panels in r
     and psi, up to ``PAIR_CHUNK`` nodes with as many radial edges per pass (README, Numerical notes)."""
-    r_sup = model.support_radius()
+    r_sup = model.support_radius
     u_lo = hard_core or 1e-4 * r_sup
     span, grade = np.log(1e2 * r_sup / u_lo), 2 if hard_core else 1
     u = u_lo * np.exp(span * np.linspace(0.0, 1.0, PAIR_NODES) ** grade)
@@ -175,14 +175,13 @@ class AnalyticEngine:
 
     # ---- spatial integrals -----------------------------------------------
 
-    def _radial_integral(self, r, p_exp):
+    def _radial_integral(self, r, ps: tuple):
         """Integral of the second-order product density at |x| times |x + x_int|^(-p) over the
-        plane outside the exclusion ball, with |x_int| = r: one value per radius for a number
-        ``p_exp``, one row per exponent for a tuple, each radius's geometry built once for all of
-        them.  Geometry is centered on the serving station; ``u`` is the interferer's distance to
-        it and ``dist`` its distance to the user; a hard core runs ``KERNEL_CHUNK`` radii per
-        ``_exclusion`` call.  Diverges, and raises, for any p <= 2."""
-        ps = p_exp if isinstance(p_exp, tuple) else (p_exp,)
+        plane outside the exclusion ball, with |x_int| = r: one row per exponent p in ``ps``, one
+        column per radius, each radius's geometry built once for all of them.  Geometry is
+        centered on the serving station; ``u`` is the interferer's distance to it and ``dist``
+        its distance to the user; a hard core runs ``KERNEL_CHUNK`` radii per ``_exclusion``
+        call.  Diverges, and raises, for any p <= 2."""
         r = np.atleast_1d(np.asarray(r, float))
         if np.any(r <= 0):
             raise ParameterError("serving distance must be > 0")
@@ -196,7 +195,7 @@ class AnalyticEngine:
                 out[:, i : i + self.KERNEL_CHUNK] = self._exclusion(r[i : i + self.KERNEL_CHUNK], ps)
         else:  # flat second moment: lambda_a^2 times the integral of dist^-p over dist >= r
             out = np.array([self.active_density**2 * 2.0 * np.pi * r ** (2.0 - p) / (p - 2.0) for p in ps])
-        return out if isinstance(p_exp, tuple) else out[0]
+        return out
 
     @staticmethod
     def _angular(u: np.ndarray, r: float, psi_min: np.ndarray | None, ps: tuple) -> list:
@@ -279,7 +278,7 @@ class AnalyticEngine:
     def interference_base(self, r):
         """Average interference divided by M^2 (kept antenna-free so that the
         antenna count cancels bit-exactly in the noise-free SINR)."""
-        base = self._base_of(self._radial_integral(r, 2.0 * self.scenario.radio.alpha))
+        base = self._base_of(self._radial_integral(r, (2.0 * self.scenario.radio.alpha,))[0])
         return base if np.ndim(r) else float(base[0])
 
     def _base_of(self, j):
@@ -299,13 +298,12 @@ class AnalyticEngine:
         m2 = float(s.radio.antennas_m) ** 2
         return m2 * (s.radio.p_f * s.radio.p_p * gain * r ** (-2.0 * s.radio.alpha)) / (m2 * base + s.radio.noise_power)
 
-    def rate_lower_bound(self, r, base=None):
+    def rate_lower_bound(self, r, base):
         """Jensen lower bound of the mean achievable rate at serving distance
         ``r``, averaging log2(1 + SINR(omega)) over the shadowing distribution
-        with the mean interference in the denominator; ``base`` is
-        ``interference_base(r)``, where the caller already holds it."""
+        with the mean interference, ``base`` = ``interference_base(r)``, in the denominator."""
         r_arr = np.atleast_1d(np.asarray(r, float))
-        c = self._sinr_ratio(r_arr, self.interference_base(r_arr) if base is None else base, 1.0)
+        c = self._sinr_ratio(r_arr, base, 1.0)
         ls = self.scenario.shadowing.log_std
         if ls == 0:
             out = np.log1p(c) / np.log(2.0)
@@ -319,7 +317,7 @@ class AnalyticEngine:
         """Serving-distance nodes, weight * pdf, and the kernel there at 2 alpha (rate) and
         alpha (transmit power) in one pass; not ``rule``, which moves ee by 1.44e-6."""
         model = self.nearest_model
-        r_sup = model.support_radius()
+        r_sup = model.support_radius
         delta = self._hard_core
         edges = (0.0, delta / 2.0, delta, 2.0 * delta, r_sup / 2.0, r_sup)
         r, w = _panelize(sorted({e for e in edges if e <= r_sup}), _GL32_NODES, _GL32_WEIGHTS)
@@ -427,16 +425,14 @@ class AnalyticEngine:
         """P(mean-interference rate > ``rho``): the serving-distance CDF at ``coverage_radius``."""
         return min(float(self.nearest_model.cdf(self.coverage_radius(rho).r)), 1.0)
 
-    def coverage_efficiency_traffic(self, mode: str = "at-mean") -> float:
-        """Coverage at the mean demand, or marginalized over the demand law by
+    def coverage_efficiency_traffic(self, marginalized: bool) -> float:
+        """Coverage at the mean demand, or ``marginalized`` over the demand law by
         Fubini: F(R_GRID_LO) plus f(r) P(demand < rate(r)) integrated by the
         nearest law's ``rule`` from R_GRID_LO to r_1, rate(r_1) = rho_min, on
         panels quadrupling from R_GRID_LO, broken at r_1 and ``KINKS`` * delta."""
         t = self.scenario.traffic
-        if mode == "at-mean":
+        if not marginalized:
             return self.coverage_efficiency(t.mean())
-        if mode != "marginalized":
-            raise ParameterError("mode must be 'at-mean' or 'marginalized'")
         near = self.coverage_efficiency(np.inf)
         r_1 = self.coverage_radius(t.rho_min).r
         if r_1 <= self.R_GRID_LO:

@@ -99,7 +99,7 @@ class TrafficModel:
     def ccdf(self, x):
         return (self.rho_min / np.maximum(x, self.rho_min)) ** self.theta
 
-    def sample_with(self, rng: np.random.Generator, size=None):
+    def sample_with(self, rng: np.random.Generator, size):
         # inverse CDF: rho_min * U**(-1/theta)
         u = rng.uniform(size=size)
         return self.rho_min * u ** (-1.0 / self.theta)

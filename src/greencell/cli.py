@@ -73,15 +73,14 @@ def _compute_row(point, scenario: Scenario, engine_name, param, value) -> Result
     try:
         engine = AnalyticEngine(scenario)
         diagnostics = None
+        marginalized = point.traffic_mode != "at-mean"  # "marginalized" and "sampled": the whole demand law
         if engine_name == "analytic":
-            mode = "marginalized" if point.traffic_mode == "sampled" else point.traffic_mode
-            ee, ce = engine.energy_efficiency(), engine.coverage_efficiency_traffic(mode)
+            ee, ce = engine.energy_efficiency(), engine.coverage_efficiency_traffic(marginalized)
             ci_ee = ci_ce = 0.0
         else:
             window = cfgmod.to_window(point)
-            mode = "sampled" if point.traffic_mode in ("sampled", "marginalized") else "at-mean"
             (ee_mc, _), ce_mc = mc.run_estimators(scenario, window, point.realizations, point.seed, [
-                mc.ee_estimator(engine, window), mc.ce_estimator(engine, window, traffic_mode=mode)])
+                mc.ee_estimator(engine, window), mc.ce_estimator(engine, window, marginalized)])
             ee, ce, ci_ee, ci_ce = ee_mc.mean, ce_mc.mean, 1.96 * ee_mc.std_error, 1.96 * ce_mc.std_error
             diagnostics = {name: {"realizations_requested": point.realizations,
                                   "realizations_used": est.realization_count}
@@ -265,7 +264,7 @@ def _cmd_compare(args) -> int:
     i_ana = engine.avg_interference(args.r_int)
     p_ana = engine.avg_tx_power()
     ee_ana = engine.energy_efficiency()
-    ce_ana = engine.coverage_efficiency_traffic("at-mean")
+    ce_ana = engine.coverage_efficiency_traffic(False)
     radius = engine.coverage_radius(scenario.traffic.mean())
     i_mc, (ee_mc, p_mc), ce_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
         mc.interference_estimator(engine, window, args.r_int),

@@ -5,9 +5,9 @@ are sampled on the larger (guarded) square, while measurements are taken
 only on the inner square, so that dependent thinning and interference at
 measured points are free of edge effects (minus sampling).
 
-The random primitives take a seed or a ``Generator``, drawn from in place,
-so the Monte Carlo engine composes them on one per-realization stream.
-Everything is deterministic given an explicit seed.
+The random primitives take a ``Generator``, drawn from in place, so the
+Monte Carlo engine composes them on one per-realization stream.
+Everything is deterministic given the generator's seed.
 """
 from __future__ import annotations
 
@@ -49,12 +49,10 @@ class Window:
         return self.half_width + self.guard
 
 
-def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
-    """Homogeneous Poisson process on the sampling region, as an (n, 2) array;
-    ``seed`` is a seed or a ``Generator``, drawn from in place."""
+def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous Poisson process on the sampling region, as an (n, 2) array."""
     if intensity < 0:
         raise ParameterError(f"intensity must be >= 0, got {intensity}")
-    rng = np.random.default_rng(seed)
     h = window.sampling_half_width
     n = rng.poisson(intensity * (2.0 * h) ** 2)
     return rng.uniform(-h, h, size=(n, 2))
@@ -120,13 +118,11 @@ def matern_ii_thin(points: np.ndarray, marks: np.ndarray, delta: float) -> np.nd
     return np.delete(pts, order[dead], axis=0)
 
 
-def random_thin(points: np.ndarray, retain_prob: float, seed) -> np.ndarray:
-    """Independent thinning: each point kept with probability ``retain_prob``;
-    ``seed`` is a seed or a ``Generator``, drawn from in place."""
+def random_thin(points: np.ndarray, retain_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Independent thinning: each point kept with probability ``retain_prob``."""
     if not 0.0 <= retain_prob <= 1.0:
         raise ParameterError(f"retain_prob must be in [0, 1], got {retain_prob}")
     pts = np.asarray(points, float)
-    rng = np.random.default_rng(seed)
     return pts[rng.uniform(size=len(pts)) < retain_prob]
 
 

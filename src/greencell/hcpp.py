@@ -6,11 +6,14 @@ the nearest-active-station distance PDF with its normalization root-solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NormalizationFitError, ParameterError
 from .quadrature import _GL32_NODES, _GL32_WEIGHTS, _panelize, regula_falsi
+
+SUPPORT_TAIL = 1e-9  # the nearest laws' mass beyond their ``support_radius``
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,11 @@ class NearestPdfModel:
         _, wf = self.rule(h + np.linspace(0.0, t_hi, n + 1) ** 2)
         return float(0.5 * self.prefactor * h * h + wf.sum())
 
-    def support_radius(self, tail: float = 1e-9) -> float:
-        """Radius beyond which the remaining PDF mass is at most ``tail``."""
+    @cached_property
+    def support_radius(self) -> float:
+        """Radius beyond which the remaining PDF mass is at most ``SUPPORT_TAIL``."""
         r = self.params.delta
-        while r <= 1e7 and 1.0 - self.cdf(r) > tail:
+        while r <= 1e7 and 1.0 - self.cdf(r) > SUPPORT_TAIL:
             r *= 1.5
         return r
 
@@ -208,5 +212,6 @@ class RayleighNearestModel:
     def cdf(self, r: float) -> float:
         return float(-np.expm1(-self.intensity * np.pi * r**2))
 
-    def support_radius(self, tail: float = 1e-9) -> float:
-        return float(np.sqrt(-np.log(tail) / (self.intensity * np.pi)))
+    @cached_property
+    def support_radius(self) -> float:
+        return float(np.sqrt(-np.log(SUPPORT_TAIL) / (self.intensity * np.pi)))

@@ -38,10 +38,11 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 def sample_active(scenario: Scenario, window: Window, rng: np.random.Generator) -> np.ndarray:
     """One realization of the active-station process for the strategy,
-    composed from the geometry primitives, each drawing from ``rng`` in place."""
+    composed from the geometry primitives, each drawing from ``rng`` in place;
+    without a hard core nothing is switched off, and the parent process is the draw."""
     s = scenario
     pts = geometry.sample_ppp(s.hcpp.lambda_b, window, rng)
-    if s.strategy == "ppp":
+    if s.strategy == "ppp" or s.hcpp.delta == 0:
         return pts
     if s.strategy == "matern":
         return geometry.matern_ii_thin(pts, rng.uniform(size=len(pts)), s.hcpp.delta)
@@ -237,30 +238,25 @@ def estimate_ee(engine, window, n, master_seed) -> McEstimate:
     return run_estimators(engine.scenario, window, n, master_seed, [ee_estimator(engine, window)])[0][0]
 
 
-def ce_estimator(engine: AnalyticEngine, window: Window, traffic_mode: str = "at-mean"):
+def ce_estimator(engine: AnalyticEngine, window: Window, sampled: bool):
     """Empirical coverage efficiency: fraction of ``CE_USERS`` typical users
-    per realization whose instantaneous rate exceeds their traffic demand;
-    0 with no active station."""
-    if traffic_mode not in ("at-mean", "sampled"):
-        raise ParameterError("traffic_mode must be 'at-mean' or 'sampled'")
+    per realization whose instantaneous rate exceeds their traffic demand, the
+    mean demand or, ``sampled``, one draw per user; 0 with no active station."""
     s = engine.scenario
 
     def measure(active, rng):
         if len(active) == 0:
             return 0.0
         rate = _typical_users(engine, window, active, rng, CE_USERS)
-        if traffic_mode == "sampled":
-            rho = s.traffic.sample_with(rng, size=len(rate))
-        else:
-            rho = s.traffic.mean()
+        rho = s.traffic.sample_with(rng, size=len(rate)) if sampled else s.traffic.mean()
         return float((rate > rho).mean())
 
     return measure, _mc_estimate
 
 
-def estimate_ce(engine, window, n, master_seed, traffic_mode="at-mean") -> McEstimate:
+def estimate_ce(engine, window, n, master_seed, sampled=False) -> McEstimate:
     """``ce_estimator`` over ``n`` realizations."""
-    est = ce_estimator(engine, window, traffic_mode)
+    est = ce_estimator(engine, window, sampled)
     return run_estimators(engine.scenario, window, n, master_seed, [est])[0]
 
 
@@ -295,7 +291,7 @@ def finite_m_validation(
     cell_layout,
     radio,
     seed: int,
-    n_trials: int = 200,
+    n_trials: int,
 ) -> list[FiniteMRow]:
     """Realized matched-filter desired power versus its large-array limit.
 

@@ -260,11 +260,22 @@ def mean_interference_ce_estimator(engine, window: Window):
     return measure, mc._mc_estimate
 
 
+def _radius_at_tail(model, tail: float) -> float:
+    """The model's ``support_radius`` at ``tail`` in place of ``hcpp.SUPPORT_TAIL``:
+    closed form for the Rayleigh law, else the same x1.5 search from delta."""
+    if isinstance(model, hcpp.RayleighNearestModel):
+        return float(np.sqrt(-np.log(tail) / (model.intensity * np.pi)))
+    r = model.params.delta
+    while r <= 1e7 and 1.0 - model.cdf(r) > tail:
+        r *= 1.5
+    return r
+
+
 @lru_cache(maxsize=32)
 def _offset_table(model) -> tuple[np.ndarray, np.ndarray]:
     """Radii and normalized trapezoid CDF of a (frozen, hashable)
     nearest-distance model, shared read-only by every draw from it."""
-    r = np.linspace(0.0, model.support_radius(1e-7), 2048)
+    r = np.linspace(0.0, _radius_at_tail(model, 1e-7), 2048)
     pdf = np.asarray(model.pdf(r), float)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(r))])
     cdf /= cdf[-1]
@@ -318,7 +329,7 @@ def scaled_pair_kernel(engine, u: float) -> float:
     delta/2 and at u/2 quadrupling out to the law's support radius, where
     the table's quadrature also stops (the mass beyond is 1e-9)."""
     model, alpha = engine.nearest_model, engine.scenario.radio.alpha
-    r_sup = model.support_radius()
+    r_sup = model.support_radius
 
     def angular(r):
         rho = r / u
@@ -335,7 +346,7 @@ def pair_table_32(model, alpha: float, hard_core: float):
     """``analytics._pair_table`` as the package once built it, the reference of its error budget:
     (ln u_0, step, ln h, its differences) on 4098 uniform ln u, 6-point Lagrange in s from
     ``PAIR_NODES`` quadratures, one at a time, on flat-ended 32-node panels in r and psi."""
-    r_sup = model.support_radius()
+    r_sup = model.support_radius
     u_lo = hard_core or 1e-4 * r_sup
     span, grade = np.log(1e2 * r_sup / u_lo), 2 if hard_core else 1
     y = np.empty(PAIR_NODES)

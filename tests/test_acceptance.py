@@ -190,7 +190,7 @@ def test_criterion_06_jensen_direction(default_engine):
     min_gap = np.inf
     for r in radii:
         est = oracles.estimate_rate_at_distance(sc, MC_WINDOW, float(r), 100, 31)
-        bound = default_engine.rate_lower_bound(float(r))
+        bound = default_engine.rate_lower_bound(float(r), default_engine.interference_base(float(r)))
         ok &= bound <= est.mean + 3.0 * est.std_error
         min_gap = min(min_gap, est.mean - bound)
     report(
@@ -258,7 +258,7 @@ def test_criterion_09_coverage_saturation():
     ce = {}
     for lam in (2e-6, 5e-6, 1e-5, 2.5e-5, 1e-3):
         eng = AnalyticEngine(Scenario(HcppParams(lam, 250.0)))
-        ce[lam] = eng.coverage_efficiency_traffic("at-mean")
+        ce[lam] = eng.coverage_efficiency_traffic(False)
     sat = abs(ce[2.5e-5] / ce[1e-3] - 1.0)
     below = [ce[k] for k in (2e-6, 5e-6, 1e-5, 2.5e-5)]
     increasing = all(b > a for a, b in zip(below, below[1:]))
@@ -276,12 +276,12 @@ def test_criterion_10_coverage_antenna_invariance():
     for m in (64, 128, 256):
         radio = RadioParams(antennas_m=m, noise_power=0.0)
         eng = AnalyticEngine(Scenario(PARAMS, radio=radio))
-        exact.append(eng.coverage_efficiency_traffic("at-mean"))
+        exact.append(eng.coverage_efficiency_traffic(False))
     bit_identical = exact[0] == exact[1] == exact[2]
     noisy = []
     for m in (64, 128, 256):
         eng = AnalyticEngine(Scenario(PARAMS, radio=RadioParams(antennas_m=m)))
-        noisy.append(eng.coverage_efficiency_traffic("at-mean"))
+        noisy.append(eng.coverage_efficiency_traffic(False))
     spread = (max(noisy) - min(noisy)) / max(noisy)
     report(
         10,

@@ -73,7 +73,7 @@ def test_constant_kernel_closed_form(ppp_engine):
     for p in (4.0, 8.0):
         for r in (10.0, 30.0, 100.0, 500.0, 1000.0):
             exact = lam**2 * 2.0 * np.pi * r ** (2.0 - p) / (p - 2.0)
-            got = float(ppp_engine._radial_integral(r, p)[0])
+            got = float(ppp_engine._radial_integral(r, (p,))[0][0])
             assert abs(got / exact - 1.0) <= 1e-13
 
 
@@ -81,7 +81,7 @@ def test_matern_kernel_vs_brute_oracle(matern_engine):
     p = 8.0
     for r in (50.0, 150.0, 400.0):
         ref = brute_exclusion_integral(r, p, lambda u: zeta2(u, PARAMS))
-        got = float(matern_engine._radial_integral(r, p)[0])
+        got = float(matern_engine._radial_integral(r, (p,))[0][0])
         assert abs(got / ref - 1.0) < 2e-3
 
 
@@ -92,7 +92,7 @@ def test_flat_kernel_vs_brute_oracle(strategy):
     for p in (4.0, 8.0):
         for r in (50.0, 150.0, 400.0):
             ref = brute_exclusion_integral(r, p, lambda u: np.full_like(u, lam_sq))
-            got = float(eng._radial_integral(r, p)[0])
+            got = float(eng._radial_integral(r, (p,))[0][0])
             assert abs(got / ref - 1.0) < 2e-3
 
 
@@ -120,7 +120,7 @@ def test_matern_far_field_vs_panel_oracle(delta, p):
     eng = AnalyticEngine(Scenario(HcppParams(1e-4, delta), shadowing=ShadowingModel(0.0)))
     for r in delta * np.array([0.01, 0.4, 0.5, 0.6, 0.9, 1.0, 1.1, 1.9, 2.0, 2.1, 30.0]):
         c = max(2.0 * delta, 2.0 * r)
-        got = float(eng._radial_integral(r, p)[0])
+        got = float(eng._radial_integral(r, (p,))[0][0])
         far = flat_stretch(eng, r, c, p) + eng._flat_tail(r, 40.0 * c, p)
         assert abs((got - eng._flat_tail(r, c, p) + far) / got - 1.0) <= 1e-13
 
@@ -141,7 +141,7 @@ def test_kernel_quadrature_cost(monkeypatch):
     assert points == [1]
     for r in (0.5, 10.0, 99.0, 101.0, 149.0, 151.0, 199.0, 201.0, 399.0, 401.0, 6000.0):
         points.clear()
-        eng._radial_integral(r, 8.0)
+        eng._radial_integral(r, (8.0,))
         assert 32 <= sum(points) <= 4 * 32
     # a vector call: one second-moment call per chunk of radii
     r = np.geomspace(0.5, 6000.0, 75)
@@ -178,7 +178,7 @@ def test_kernel_quadrature_cost(monkeypatch):
     for strategy in ("ppp", "random"):
         eng = _engine(strategy)
         assert np.all(eng.interference_base(r) > 0)
-        assert np.all(eng._radial_integral(r, 4.0) > 0)
+        assert np.all(eng._radial_integral(r, (4.0,)) > 0)
     assert not points
 
 
@@ -220,11 +220,11 @@ def test_rate_zero_shadowing_closed_form(matern_engine):
     num = m2 * s.radio.p_f * s.radio.p_p * r ** (-2.0 * s.radio.alpha)
     den = m2 * matern_engine.interference_base(r) + s.radio.noise_power
     expect = np.log2(1.0 + num / den)
-    assert matern_engine.rate_lower_bound(r) == pytest.approx(expect, rel=1e-12)
+    assert matern_engine.rate_lower_bound(r, matern_engine.interference_base(r)) == pytest.approx(expect, rel=1e-12)
 
 
 def test_rate_decreasing_in_distance(matern_engine):
-    rates = [matern_engine.rate_lower_bound(r) for r in (50.0, 100.0, 200.0, 400.0)]
+    rates = [matern_engine.rate_lower_bound(r, matern_engine.interference_base(r)) for r in (50.0, 100.0, 200.0, 400.0)]
     assert all(b < a for a, b in zip(rates, rates[1:]))
 
 
@@ -244,10 +244,13 @@ def test_vector_rate_and_sinr_match_scalar_calls(strategy, sigma, cell_rate):
     its own, so its rounding does not depend on its place in the array."""
     eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy, shadowing=ShadowingModel(sigma)))
     r = np.array([0.5, 37.0, 99.9, 100.0, 150.0, 199.0, 250.0, 400.0, 2500.0])
-    sinr, rate = eng.sinr_of_distance(r), eng.rate_lower_bound(r)
-    assert isinstance(eng.rate_lower_bound(150.0), float) and isinstance(eng.sinr_of_distance(150.0), float)
+    def rate(x):
+        return eng.rate_lower_bound(x, eng.interference_base(x))
+
+    sinr = eng.sinr_of_distance(r)
+    assert isinstance(rate(150.0), float) and isinstance(eng.sinr_of_distance(150.0), float)
     assert np.array_equal(sinr, [eng.sinr_of_distance(float(x)) for x in r])
-    assert np.array_equal(rate, [eng.rate_lower_bound(float(x)) for x in r])
+    assert np.array_equal(rate(r), [rate(float(x)) for x in r])
     assert eng.avg_cell_rate() == cell_rate
 
 
@@ -278,7 +281,7 @@ def test_no_hard_core_is_one_poisson_process():
     # at delta = 0 no station is switched off: every strategy reads the Rayleigh law
     engines = [AnalyticEngine(Scenario(HcppParams(1e-4, 0.0), strategy=s)) for s in ("matern", "random", "ppp")]
     values = [
-        (e.energy_efficiency(), e.coverage_efficiency_traffic("at-mean"), e.coverage_efficiency_traffic("marginalized"),
+        (e.energy_efficiency(), e.coverage_efficiency_traffic(False), e.coverage_efficiency_traffic(True),
          e.lambda_star_fit, e.avg_tx_power())
         for e in engines
     ]
@@ -296,7 +299,7 @@ def test_tx_power_pinned(strategy, watts):
 
 
 def _pair_kernel_cases():
-    r_sup = {s: AnalyticEngine(Scenario(PARAMS, strategy=s)).nearest_model.support_radius() for s in ("ppp", "matern")}
+    r_sup = {s: AnalyticEngine(Scenario(PARAMS, strategy=s)).nearest_model.support_radius for s in ("ppp", "matern")}
     # ppp: the u^(2 - alpha) branch below the first node (1e-4 r_sup = 2.6 cm) and the table above it
     cases = [("ppp", u) for u in (1e-3, 1e-2, 0.1, 1.0)]
     cases += [("matern", PARAMS.delta), ("matern", 1.01 * PARAMS.delta), ("matern", 2.0 * PARAMS.delta)]
@@ -338,14 +341,29 @@ class _CountedLaw:
     """A nearest-distance law whose ``pdf`` calls are recorded; its support radius is the law's."""
 
     def __init__(self, model):
-        self.model, self.shapes = model, []
-
-    def support_radius(self):
-        return self.model.support_radius()
+        self.model, self.shapes, self.support_radius = model, [], model.support_radius
 
     def pdf(self, r):
         self.shapes.append(np.shape(r))
         return self.model.pdf(r)
+
+
+def test_support_radius_is_searched_once_per_law(monkeypatch):
+    # the serving grid and the station-pair table read one search of the hard-core law's support
+    calls, cdf = [], hcpp.NearestPdfModel.cdf
+
+    def counted(self, r):
+        calls.append(r)
+        return cdf(self, r)
+
+    eng = AnalyticEngine(Scenario(HcppParams(1e-4, 175.0)))
+    eng.nearest_model  # the fit's own cdf calls
+    monkeypatch.setattr(hcpp.NearestPdfModel, "cdf", counted)
+    eng._serving_grid
+    assert calls
+    searched = len(calls)
+    analytics._pair_table.__wrapped__(eng.nearest_model, eng.scenario.radio.alpha, eng._hard_core)
+    assert len(calls) == searched
 
 
 @pytest.mark.parametrize("strategy", ["matern", "ppp"])
@@ -393,7 +411,7 @@ def test_exponent_tuple_matches_single_exponent_calls(strategy, radii):
     rows = eng._radial_integral(r, (8.0, 4.0, 3.0))
     assert rows.shape == (3, r.size)
     for row, p in zip(rows, (8.0, 4.0, 3.0)):
-        assert np.array_equal(row, eng._radial_integral(r, p))
+        assert np.array_equal(row, eng._radial_integral(r, (p,))[0])
 
 
 def test_energy_efficiency_runs_the_kernel_once_per_serving_node(monkeypatch):
@@ -454,7 +472,9 @@ def test_angular_rule_error_budget(monkeypatch, lam, delta):
 
 
 @pytest.mark.parametrize("strategy", ["matern", "ppp"])
-@pytest.mark.parametrize("p_exp", [1.5, 2.0, (8.0, 2.0)])
+@pytest.mark.parametrize(  # ids kept stable across the removal of the bare-number form
+    "p_exp", [pytest.param((1.5,), id="1.5"), pytest.param((2.0,), id="2.0"), pytest.param((8.0, 2.0), id="p_exp2")]
+)
 def test_kernel_refuses_exponents_at_or_below_two(strategy, p_exp):
     eng = _engine(strategy)
     with pytest.raises(InterferenceDivergenceError):
@@ -535,12 +555,10 @@ def test_coverage_antenna_invariance_bit_exact():
 
 
 def test_coverage_traffic_modes(matern_engine):
-    at_mean = matern_engine.coverage_efficiency_traffic("at-mean")
-    marg = matern_engine.coverage_efficiency_traffic("marginalized")
+    at_mean = matern_engine.coverage_efficiency_traffic(False)
+    marg = matern_engine.coverage_efficiency_traffic(True)
     assert 0.0 <= at_mean <= 1.0
     assert 0.0 <= marg <= 1.0
-    with pytest.raises(ParameterError):
-        matern_engine.coverage_efficiency_traffic("sampled")
 
 
 def test_coverage_beyond_float_range_is_clipped(matern_engine):
@@ -607,7 +625,7 @@ def test_marginalized_coverage_matches_adaptive_oracle(strategy, delta, conventi
             traffic=TrafficModel(theta, rho_min),
         )
     )
-    got = eng.coverage_efficiency_traffic("marginalized")
+    got = eng.coverage_efficiency_traffic(True)
     assert abs(got / marginalized_oracle(eng) - 1.0) <= 1e-10
 
 
@@ -676,7 +694,7 @@ def test_marginalized_coverage_inverts_sinr_once(monkeypatch):
 
     monkeypatch.setattr(AnalyticEngine, "invert_sinr", counted_invert)
     monkeypatch.setattr(AnalyticEngine, "interference_base", counted_kernel)
-    assert 0.0 < eng.coverage_efficiency_traffic("marginalized") < 1.0
+    assert 0.0 < eng.coverage_efficiency_traffic(True) < 1.0
     assert len(inversions) <= 2
     assert sum(points) <= 300
 
@@ -686,7 +704,7 @@ def test_marginalized_coverage_above_grid_rate_is_near_end_cdf(strategy):
     # every demand is above the rate at R_GRID_LO: all see the clipped coverage
     eng = AnalyticEngine(Scenario(PARAMS, strategy=strategy, traffic=TrafficModel(1.5, 2000.0)))
     want = eng.nearest_model.cdf(AnalyticEngine.R_GRID_LO)
-    assert eng.coverage_efficiency_traffic("marginalized") == want
+    assert eng.coverage_efficiency_traffic(True) == want
 
 
 @pytest.mark.parametrize("strategy", ["matern", "ppp"])
@@ -725,7 +743,7 @@ def test_shadowing_expectation_matches_quadrature_oracle():
         return np.log2(1.0 + np.exp(2.0 * x) * c) * np.exp(-(x**2) / 2.0) / np.sqrt(2.0 * np.pi)
 
     ref, _ = quad(integrand, -10.0, 10.0, limit=200)
-    assert eng.rate_lower_bound(r) == pytest.approx(ref, rel=1e-9)
+    assert eng.rate_lower_bound(r, eng.interference_base(r)) == pytest.approx(ref, rel=1e-9)
 
 
 def _oracle_rule(family, nodes):

@@ -142,6 +142,18 @@ def test_sweep_without_hard_core_writes_one_row_for_every_strategy(tmp_path):
     assert {a["name"]: a["passed"] for a in summary["assertions"]}["ee-strategy-ordering"] is True
 
 
+def test_mc_sweep_without_hard_core_draws_one_process_for_every_strategy(tmp_path):
+    # at delta = 0 every strategy draws the parent Poisson process and no thinning
+    # randomness, so their Monte Carlo rows differ only in the strategy
+    out = tmp_path / "out"
+    argv = ["sweep", "--engine", "mc", "--param", "delta", "--values", "0,200", "--seed", "7", "--out", str(out)]
+    assert cli.main(argv) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    at_zero = {line.split(",", 1)[0]: line.split(",", 1)[1] for line in lines[1:] if ",delta,0.0," in line}
+    assert sorted(at_zero) == ["matern", "ppp", "random"]
+    assert len(set(at_zero.values())) == 1
+
+
 def _analytic_row(strategy, value, density, ee):
     return cli.ResultRow(strategy, "analytic", "delta", value, density, density, 5.0, ee, 0.5, 0.0, 0.0, 1)
 

@@ -25,24 +25,24 @@ def test_window_validation():
 
 
 def test_sample_ppp_zero_intensity():
-    assert len(geometry.sample_ppp(0.0, Window(100.0), seed=1)) == 0
+    assert len(geometry.sample_ppp(0.0, Window(100.0), np.random.default_rng(1))) == 0
 
 
 def test_sample_ppp_negative_intensity():
     with pytest.raises(ParameterError):
-        geometry.sample_ppp(-1.0, Window(100.0), seed=1)
+        geometry.sample_ppp(-1.0, Window(100.0), np.random.default_rng(1))
 
 
 def test_sample_ppp_deterministic():
     w = Window(500.0, 100.0)
-    a = geometry.sample_ppp(1e-4, w, seed=9)
-    b = geometry.sample_ppp(1e-4, w, seed=9)
+    a = geometry.sample_ppp(1e-4, w, np.random.default_rng(9))
+    b = geometry.sample_ppp(1e-4, w, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
 def test_sample_ppp_mean_count():
     w = Window(2500.0, 500.0)
-    counts = [len(geometry.sample_ppp(1e-4, w, seed=k)) for k in range(300)]
+    counts = [len(geometry.sample_ppp(1e-4, w, np.random.default_rng(k))) for k in range(300)]
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
     assert abs(mean - 3600.0) < 3.0 * se
@@ -50,7 +50,7 @@ def test_sample_ppp_mean_count():
 
 def test_sample_ppp_positions_in_region():
     w = Window(500.0, 100.0)
-    pts = geometry.sample_ppp(1e-3, w, seed=2)
+    pts = geometry.sample_ppp(1e-3, w, np.random.default_rng(2))
     assert np.all(np.abs(pts) <= w.sampling_half_width)
 
 
@@ -109,10 +109,14 @@ def test_matern_matches_query_pairs_thinning():
     """The grid thinning keeps the points the query_pairs thinning keeps, in
     order, under uniform marks and under integer marks that tie often."""
     w = Window(1500.0, 600.0)  # the benchmark's sampling square, 1764 stations on average
-    cases = [(geometry.sample_ppp(1e-4, w, seed=s), d) for d in (150.0, 200.0, 250.0) for s in range(3)]
-    cases += [(geometry.sample_ppp(1e-4, w, seed=5), 0.5), (geometry.sample_ppp(1e-4, w, seed=6), 1000.0)]
+
+    def ppp(seed):
+        return geometry.sample_ppp(1e-4, w, np.random.default_rng(seed))
+
+    cases = [(ppp(s), d) for d in (150.0, 200.0, 250.0) for s in range(3)]
+    cases += [(ppp(5), 0.5), (ppp(6), 1000.0)]
     ds = (1.0, 5.0, 20.0, 50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 600.0, 1000.0)
-    cases += [(geometry.sample_ppp(1e-4, w, seed=20 + k), d) for k, d in enumerate(ds)]
+    cases += [(ppp(20 + k), d) for k, d in enumerate(ds)]
     # spacings of exactly delta, which round to either side of delta
     cases += [(_lattice(d, off), d) for off in (0.0, 1e6, -1e6) for d in (0.3, 0.7, 200.0)]
     # lattices spaced delta in x and 1.2 delta in y: fewer than 3 points within delta on average
@@ -142,7 +146,7 @@ def test_matern_memory_is_bounded(delta):
     """numpy reports its buffers to tracemalloc: a 1764-station thinning stays
     under 8 MB at the smallest and largest delta, where an uncapped grid at
     0.5 m would take 7e7 cells."""
-    pts = geometry.sample_ppp(1e-4, Window(1500.0, 600.0), seed=8)
+    pts = geometry.sample_ppp(1e-4, Window(1500.0, 600.0), np.random.default_rng(8))
     marks = _marks(pts, 9)
     tracemalloc.start()
     try:
@@ -156,7 +160,7 @@ def test_matern_memory_is_bounded(delta):
 def test_matern_hard_core_and_subset():
     w = Window(1000.0, 300.0)
     for seed in range(10):
-        pts = geometry.sample_ppp(1e-4, w, seed=seed)
+        pts = geometry.sample_ppp(1e-4, w, np.random.default_rng(seed))
         out = geometry.matern_ii_thin(pts, _marks(pts, seed + 1000), 200.0)
         assert oracles.min_pairwise_distance(out) >= 200.0
         as_set = {tuple(p) for p in pts}
@@ -165,7 +169,7 @@ def test_matern_hard_core_and_subset():
 
 def test_matern_monotone_in_delta():
     w = Window(1000.0, 300.0)
-    pts = geometry.sample_ppp(1e-4, w, seed=3)
+    pts = geometry.sample_ppp(1e-4, w, np.random.default_rng(3))
     marks = _marks(pts, 4)
     n_small = len(geometry.matern_ii_thin(pts, marks, 100.0))
     n_large = len(geometry.matern_ii_thin(pts, marks, 300.0))
@@ -178,7 +182,7 @@ def test_matern_guard_independence():
     delta = 200.0
     w_small = Window(800.0, delta)
     w_big = Window(800.0, 3.0 * delta)
-    pts = geometry.sample_ppp(1e-4, w_big, seed=12)
+    pts = geometry.sample_ppp(1e-4, w_big, np.random.default_rng(12))
     marks = _marks(pts, 13)
     out_big = geometry.matern_ii_thin(pts, marks, delta)
 
@@ -192,10 +196,10 @@ def test_matern_guard_independence():
 
 def test_random_thin_edges():
     pts = np.arange(20.0).reshape(10, 2)
-    assert np.array_equal(geometry.random_thin(pts, 1.0, seed=1), pts)
-    assert len(geometry.random_thin(pts, 0.0, seed=1)) == 0
+    assert np.array_equal(geometry.random_thin(pts, 1.0, np.random.default_rng(1)), pts)
+    assert len(geometry.random_thin(pts, 0.0, np.random.default_rng(1))) == 0
     with pytest.raises(ParameterError):
-        geometry.random_thin(pts, 1.2, seed=1)
+        geometry.random_thin(pts, 1.2, np.random.default_rng(1))
 
 
 def test_random_thin_density():
@@ -203,8 +207,8 @@ def test_random_thin_density():
     p = 0.0796
     dens = []
     for seed in range(150):
-        pts = geometry.sample_ppp(1e-4, w, seed=seed)
-        kept = geometry.random_thin(pts, p, seed=seed + 5000)
+        pts = geometry.sample_ppp(1e-4, w, np.random.default_rng(seed))
+        kept = geometry.random_thin(pts, p, np.random.default_rng(seed + 5000))
         dens.append(len(kept) / (2 * w.sampling_half_width) ** 2)
     mean = np.mean(dens)
     se = np.std(dens, ddof=1) / np.sqrt(len(dens))
@@ -232,7 +236,7 @@ def test_pair_correlation_empty():
 
 def test_pair_correlation_counts_match_brute_force():
     w = Window(600.0, 200.0)
-    pts = geometry.sample_ppp(2e-4, w, seed=8)
+    pts = geometry.sample_ppp(2e-4, w, np.random.default_rng(8))
     est = oracles.empirical_pair_correlation(pts, w, 50.0, 300.0)
     inner = min(w.half_width, w.sampling_half_width - 300.0)
     centers = pts[(np.abs(pts) <= inner).all(axis=1)]
@@ -249,7 +253,7 @@ def test_pair_correlation_ppp_flat():
     acc = None
     n_real = 40
     for seed in range(n_real):
-        pts = geometry.sample_ppp(lam, w, seed=seed)
+        pts = geometry.sample_ppp(lam, w, np.random.default_rng(seed))
         est = oracles.empirical_pair_correlation(pts, w, 100.0, 500.0)
         acc = est.density if acc is None else acc + est.density
     mean = acc / n_real
@@ -262,7 +266,7 @@ def test_pair_correlation_matern():
     acc = None
     n_real = 60
     for seed in range(n_real):
-        pts = geometry.sample_ppp(params.lambda_b, w, seed=seed)
+        pts = geometry.sample_ppp(params.lambda_b, w, np.random.default_rng(seed))
         active = geometry.matern_ii_thin(pts, _marks(pts, seed + 10**6), params.delta)
         est = oracles.empirical_pair_correlation(active, w, 100.0, 600.0)
         acc = est.density if acc is None else acc + est.density

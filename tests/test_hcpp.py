@@ -105,7 +105,7 @@ def test_nearest_model_cdf_monotone():
     radii = [50.0, 150.0, 250.0, 400.0, 700.0]
     cdfs = [model.cdf(r) for r in radii]
     assert all(b > a for a, b in zip(cdfs, cdfs[1:]))
-    assert model.cdf(model.support_radius()) > 1.0 - 1e-6
+    assert model.cdf(model.support_radius) > 1.0 - 1e-6
 
 
 def _mp_cdf(model, radii, dps=30):
@@ -151,15 +151,13 @@ def test_nearest_model_cdf_matches_30_digit_oracle(lam, delta):
 @pytest.mark.parametrize("lam, delta", [(1e-4, 200.0), (3e-4, 50.0), (3e-5, 150.0)])
 def test_support_radius_bounds_the_tail(lam, delta):
     # the first radius on the search grid (x1.5 steps) whose remaining mass,
-    # by the oracle, is <= tail
+    # by the oracle, is <= SUPPORT_TAIL
     model = hcpp.fit_nearest_model(HcppParams(lam, delta))
-    radii = {tail: model.support_radius(tail) for tail in (1e-9, 1e-7)}
-    steps = sorted({x for r in radii.values() for x in (r / 1.5, r)})
-    mass = dict(zip(steps, _mp_cdf(model, steps)))
-    for tail, r in radii.items():
-        assert 1.0 - mass[r] <= tail
-        if r > delta:
-            assert 1.0 - mass[r / 1.5] > tail
+    r = model.support_radius
+    mass = dict(zip((r / 1.5, r), _mp_cdf(model, (r / 1.5, r))))
+    assert 1.0 - mass[r] <= hcpp.SUPPORT_TAIL
+    if r > delta:
+        assert 1.0 - mass[r / 1.5] > hcpp.SUPPORT_TAIL
 
 
 def test_nearest_model_small_delta_is_rayleigh():
@@ -187,7 +185,7 @@ def test_rayleigh_model_consistency():
     r = 120.0
     num, _ = quad(m.pdf, 0.0, r)
     assert m.cdf(r) == pytest.approx(num, rel=1e-9)
-    assert m.cdf(m.support_radius(1e-9)) == pytest.approx(1.0, abs=1e-8)
+    assert m.cdf(m.support_radius) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_params_validation():

@@ -203,13 +203,13 @@ def test_shared_realizations_match_single_estimators(monkeypatch):
     monkeypatch.setattr(mc, "sample_active", counted)
     estimators = [
         mc.ee_estimator(eng, WINDOW),
-        mc.ce_estimator(eng, WINDOW, traffic_mode="sampled"),
+        mc.ce_estimator(eng, WINDOW, True),
         mc.interference_estimator(eng, WINDOW, 100.0),
     ]
     (ee, _), ce, interference = mc.run_estimators(sc, WINDOW, 12, 5, estimators)
     assert len(draws) == 12
     assert ee == mc.estimate_ee(eng, WINDOW, 12, 5)
-    assert ce == mc.estimate_ce(eng, WINDOW, 12, 5, traffic_mode="sampled")
+    assert ce == mc.estimate_ce(eng, WINDOW, 12, 5, sampled=True)
     assert interference == mc.estimate_interference(eng, WINDOW, 100.0, 12, 5)
 
 
@@ -229,7 +229,7 @@ def test_tx_power_matches_analytic(scenario, engine):
 def test_rate_jensen_direction(scenario, engine):
     r = 150.0
     est = oracles.estimate_rate_at_distance(scenario, WINDOW, r, 100, 21)
-    assert engine.rate_lower_bound(r) <= est.mean + 3.0 * est.std_error
+    assert engine.rate_lower_bound(r, engine.interference_base(r)) <= est.mean + 3.0 * est.std_error
 
 
 def test_estimate_ee_positive(scenario, engine):
@@ -249,10 +249,8 @@ def test_estimate_ce_modes(scenario, engine):
     mean_i = _serving_cdf(engine, WINDOW, 60, 5)
     assert 0.0 <= inst.mean <= 1.0
     assert 0.0 <= mean_i.mean <= 1.0
-    sampled = mc.estimate_ce(engine, WINDOW, 30, 5, traffic_mode="sampled")
+    sampled = mc.estimate_ce(engine, WINDOW, 30, 5, sampled=True)
     assert 0.0 <= sampled.mean <= 1.0
-    with pytest.raises(ParameterError):
-        mc.estimate_ce(engine, WINDOW, 30, 5, traffic_mode="hourly")
 
 
 def test_mean_interference_coverage_draws_no_shadowing(monkeypatch, engine):

@@ -4,7 +4,9 @@ count, and the thinning's point count, by position.  A rename or a moved ``n`` h
 this test makes it fail in the test suite instead.  Those names are also
 the only public definitions in ``src/`` (functions, classes, and the
 methods and properties of public classes) that the package itself may
-leave unused: a helper that only tests call belongs in ``tests/oracles.py``."""
+leave unused: a helper that only tests call belongs in ``tests/oracles.py``.
+Likewise a default that package calls always override, or a parameter that
+none of them sets, is a choice the package never makes."""
 import ast
 import importlib
 import importlib.util
@@ -83,6 +85,47 @@ def test_public_definitions_are_used_by_the_package(child):
         if path.split(".")[-1] not in (attrs if is_member else names) and (module, path) not in wrapped
     ]
     assert unused == [], f"public definitions no package code uses: {unused}"
+
+
+def _defaulted_parameters(tree):
+    """(name it is called by, parameter, positional index or None) of every
+    defaulted parameter in ``tree``: a method's index counts after ``self``,
+    and an ``__init__`` is called by its class's name."""
+    owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        cls = owner.get(id(f))
+        bound = cls is not None and "staticmethod" not in {getattr(d, "id", None) for d in f.decorator_list}
+        name = cls.name if cls is not None and f.name == "__init__" else f.name
+        positional = [a.arg for a in f.args.posonlyargs + f.args.args][bound:]
+        for i in range(len(positional) - len(f.args.defaults), len(positional)):
+            yield name, positional[i], i
+        for a, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                yield name, a.arg, None
+
+
+def _passes(call, param, index):
+    if any(k.arg in (param, None) for k in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def test_every_default_is_both_taken_and_overridden_by_the_package():
+    # cli.main's argv is the entry point's: only its callers outside the package set it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    calls = {}
+    for node in (n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        calls.setdefault(getattr(node.func, "id", None) or getattr(node.func, "attr", None), []).append(node)
+    one_sided = [
+        f"{module}.{name}({param})"
+        for module, tree in trees.items()
+        for name, param, index in _defaulted_parameters(tree)
+        if (module, name) != ("cli", "main") and name in calls
+        and len({_passes(call, param, index) for call in calls[name]}) == 1
+    ]
+    assert one_sided == [], f"defaulted parameters the package always or never passes: {one_sided}"
 
 
 def test_package_root_binds_no_name():
