@@ -79,12 +79,13 @@ def _compute_row(point, scenario: Scenario, engine_name, param, value) -> Result
             ci_ee = ci_ce = 0.0
         else:
             window = cfgmod.to_window(point)
-            (ee_mc, _), ce_mc = mc.run_estimators(scenario, window, point.realizations, point.seed, [
-                mc.ee_estimator(engine, window), mc.ce_estimator(engine, window, marginalized)])
+            [((ee_mc, _), ce_mc)] = mc.run_estimators(scenario, window, point.realizations, point.seed, [
+                mc.ee_ce_estimator(engine, window, marginalized)])
             ee, ce, ci_ee, ci_ce = ee_mc.mean, ce_mc.mean, 1.96 * ee_mc.std_error, 1.96 * ce_mc.std_error
             diagnostics = {name: {"realizations_requested": point.realizations,
                                   "realizations_used": est.realization_count}
                            for name, est in (("ee", ee_mc), ("ce", ce_mc))}
+            diagnostics.update(mc.user_counts(engine))
         return ResultRow(scenario.strategy, engine_name, param, float(value), engine.active_density,
                          engine.lambda_star_fit, engine.k_ue, ee, ce, ci_ee, ci_ce, point.seed, diagnostics=diagnostics)
     except Exception as exc:  # row-level failure: emit NaNs, keep sweeping
@@ -266,9 +267,9 @@ def _cmd_compare(args) -> int:
     ee_ana = engine.energy_efficiency()
     ce_ana = engine.coverage_efficiency_traffic(False)
     radius = engine.coverage_radius(scenario.traffic.mean())
-    i_mc, (ee_mc, p_mc), ce_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
+    i_mc, ((ee_mc, p_mc), _), ce_mc = mc.run_estimators(scenario, window, n, cfg.seed, [
         mc.interference_estimator(engine, window, args.r_int),
-        mc.ee_estimator(engine, window),
+        mc.ee_ce_estimator(engine, window, False),
         mc.serving_cdf_estimator(window, radius.r),
     ])
     jensen_ok = ee_ana <= ee_mc.mean + 3.0 * ee_mc.std_error

@@ -6,7 +6,9 @@ association realizes the analytic engine's exclusion ball for ``ppp`` and
 Every estimator draws its per-realization randomness from a child stream
 derived as SeedSequence([master_seed, index]), so results are bit-identical
 for a given (scenario, window, master_seed, count) regardless of how the
-realizations are scheduled, or of which estimators share them.  Sums linear
+realizations are scheduled, or of which estimators share them.  EE and CE
+read one draw of typical users per realization (common random numbers):
+EE the first round(k), CE the first ``CE_USERS``.  Sums linear
 in the shadowing coefficient omega (station power, mean interference) take
 its moments, and station power its users' mean, in place of draws (conditional Monte Carlo).
 ``compare``'s coverage is the serving-distance CDF at the mean demand's
@@ -25,7 +27,7 @@ from .errors import ParameterError
 from .geometry import Window
 
 
-#: typical users per realization of the coverage estimator
+#: typical users per realization that the coverage estimator scores
 CE_USERS = 16
 #: stations in the measurement region whose transmit power an EE realization measures
 POWER_STATIONS = 16
@@ -101,18 +103,6 @@ def _received_power(stations, users, serving_idx, rng, scenario: Scenario, r_min
     return own, gain.sum(axis=1)
 
 
-def _typical_users(engine: AnalyticEngine, window: Window, active: np.ndarray, rng, n_ue: int):
-    """Rates (bits/s/Hz) of ``n_ue`` typical users dropped uniformly in the
-    measurement region, drawing their positions and shadowing from ``rng``.
-    Each associates with its nearest station of the non-empty ``active``;
-    every other active station interferes."""
-    s = engine.scenario
-    gain = float(s.radio.antennas_m) ** 2 * (s.radio.p_f * s.radio.p_p)
-    ue = rng.uniform(-window.half_width, window.half_width, size=(n_ue, 2))
-    own, other = _received_power(active, ue, None, rng, s)
-    return np.log2(1.0 + gain * own / (gain * other + s.radio.noise_power))
-
-
 def station_power(engine: AnalyticEngine, window: Window, active: np.ndarray) -> np.ndarray:
     """Transmit power m p_p E[omega] k sum_{j != i} h(|x_i - x_j|) of the first ``POWER_STATIONS``
     stations i in the measurement region (none when it holds no station or ``active`` only one):
@@ -127,11 +117,29 @@ def station_power(engine: AnalyticEngine, window: Window, active: np.ndarray) ->
     return s.radio.antennas_m * s.radio.p_p * s.shadowing.moment(1) * engine.k_ue * engine.pair_kernel(d2).sum(axis=1)
 
 
+def user_counts(engine: AnalyticEngine) -> dict:
+    """Typical users drawn per realization, and how many of them EE and CE read."""
+    ee_users = max(int(round(engine.k_ue)), 1)
+    return {"typical_users": max(ee_users, CE_USERS), "ee_users": ee_users, "ce_users": CE_USERS}
+
+
 def run_realization(engine: AnalyticEngine, window: Window, active: np.ndarray, rng: np.random.Generator):
-    """Energy-efficiency measurements on the non-empty ``active`` stations of one
-    realization: the rates of round(k) typical users, its only draws, and ``station_power``."""
-    rate = _typical_users(engine, window, active, rng, max(int(round(engine.k_ue)), 1))
-    return rate, station_power(engine, window, active)
+    """Rates (bits/s/Hz) of the ``user_counts`` typical users of one realization,
+    and ``station_power`` of its non-empty ``active`` stations.  The users are
+    its only draws: their positions, uniform in the measurement region, then
+    one omega per link.  Each associates with its nearest station; every other
+    active station interferes."""
+    s = engine.scenario
+    gain = float(s.radio.antennas_m) ** 2 * (s.radio.p_f * s.radio.p_p)
+    ue = rng.uniform(-window.half_width, window.half_width, size=(user_counts(engine)["typical_users"], 2))
+    own, other = _received_power(active, ue, None, rng, s)
+    return np.log2(1.0 + gain * own / (gain * other + s.radio.noise_power)), station_power(engine, window, active)
+
+
+def _usable(values: list, n: int) -> list:
+    if len(values) < 2:
+        raise ParameterError(f"{len(values)} of {n} realizations usable; need at least 2")
+    return values
 
 
 def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int, estimators) -> list:
@@ -153,8 +161,7 @@ def run_estimators(scenario: Scenario, window: Window, n: int, master_seed: int,
             if value is not None:
                 kept[j].append(value)
     for values in kept:
-        if len(values) < 2:
-            raise ParameterError(f"{len(values)} of {n} realizations usable; need at least 2")
+        _usable(values, n)
     return [reduce(values) for (_, reduce), values in zip(estimators, kept)]
 
 
@@ -208,56 +215,47 @@ def estimate_interference(engine, window, r_int, n, master_seed) -> McEstimate:
     return run_estimators(engine.scenario, window, n, master_seed, [est])[0]
 
 
-def ee_estimator(engine: AnalyticEngine, window: Window):
-    """Empirical energy efficiency: mean per-cell sum rate over mean
-    per-station power, with the per-realization mean ``station_power``'s own
-    estimate; ``reduce`` returns both.  Realizations with no active station
-    or no measured station power are skipped."""
+def ee_ce_estimator(engine: AnalyticEngine, window: Window, sampled: bool):
+    """Empirical energy and coverage efficiency, read off the same typical users
+    of each ``run_realization``.  EE is the mean per-cell sum rate of the first
+    round(k) over the mean per-station power; it skips a realization with no
+    active station or no measured station power.  CE is the fraction of the
+    first ``CE_USERS`` whose rate exceeds their traffic demand, the mean demand
+    or, ``sampled``, one draw per user; 0 with no active station.  ``reduce``
+    returns ((EE, station power), CE)."""
+    s = engine.scenario
+    ee_users = user_counts(engine)["ee_users"]
 
     def measure(active, rng):
         if len(active) == 0:
-            return None
+            return None, 0.0
         rate, power = run_realization(engine, window, active, rng)
-        if len(power) == 0:
-            return None
-        return engine.k_ue * float(rate.mean()), float(power.mean())
+        rho = s.traffic.sample_with(rng, size=CE_USERS) if sampled else s.traffic.mean()
+        ce = float((rate[:CE_USERS] > rho).mean())
+        ee = (engine.k_ue * float(rate[:ee_users].mean()), float(power.mean())) if len(power) else None
+        return ee, ce
 
-    def reduce(kept):  # ratio of means, with a delta-method standard error
-        rates, p_tx = np.asarray(kept, float).reshape(-1, 2).T
+    def reduce(kept):  # EE: ratio of means, with a delta-method standard error
+        pairs = _usable([e for e, _ in kept if e is not None], len(kept))
+        rates, p_tx = np.asarray(pairs, float).T
         powers = np.array([engine.bs_power(p) for p in p_tx.tolist()])
         mean_power = powers.mean()
         ratio = rates.mean() / mean_power
         resid = (rates - ratio * powers) / mean_power
-        return McEstimate(float(ratio), float(resid.std(ddof=1) / np.sqrt(len(rates))), len(rates)), _mc_estimate(p_tx)
+        ee = McEstimate(float(ratio), float(resid.std(ddof=1) / np.sqrt(len(rates))), len(rates))
+        return (ee, _mc_estimate(p_tx)), _mc_estimate([c for _, c in kept])
 
     return measure, reduce
 
 
 def estimate_ee(engine, window, n, master_seed) -> McEstimate:
-    """``ee_estimator``'s energy efficiency over ``n`` realizations."""
-    return run_estimators(engine.scenario, window, n, master_seed, [ee_estimator(engine, window)])[0][0]
-
-
-def ce_estimator(engine: AnalyticEngine, window: Window, sampled: bool):
-    """Empirical coverage efficiency: fraction of ``CE_USERS`` typical users
-    per realization whose instantaneous rate exceeds their traffic demand, the
-    mean demand or, ``sampled``, one draw per user; 0 with no active station."""
-    s = engine.scenario
-
-    def measure(active, rng):
-        if len(active) == 0:
-            return 0.0
-        rate = _typical_users(engine, window, active, rng, CE_USERS)
-        rho = s.traffic.sample_with(rng, size=len(rate)) if sampled else s.traffic.mean()
-        return float((rate > rho).mean())
-
-    return measure, _mc_estimate
+    """``ee_ce_estimator``'s energy efficiency over ``n`` realizations."""
+    return run_estimators(engine.scenario, window, n, master_seed, [ee_ce_estimator(engine, window, False)])[0][0][0]
 
 
 def estimate_ce(engine, window, n, master_seed, sampled=False) -> McEstimate:
-    """``ce_estimator`` over ``n`` realizations."""
-    est = ce_estimator(engine, window, sampled)
-    return run_estimators(engine.scenario, window, n, master_seed, [est])[0]
+    """``ee_ce_estimator``'s coverage efficiency over ``n`` realizations."""
+    return run_estimators(engine.scenario, window, n, master_seed, [ee_ce_estimator(engine, window, sampled)])[0][1]
 
 
 def serving_cdf_estimator(window: Window, radius: float):

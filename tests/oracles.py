@@ -260,6 +260,61 @@ def mean_interference_ce_estimator(engine, window: Window):
     return measure, mc._mc_estimate
 
 
+def typical_user_rates(engine, window: Window, active: np.ndarray, rng, n_ue: int) -> np.ndarray:
+    """Rates of ``n_ue`` typical users, drawn as ``mc.run_realization`` draws
+    its users: positions uniform in the measurement region, then one omega
+    per link; each associates with its nearest station."""
+    s = engine.scenario
+    gain = float(s.radio.antennas_m) ** 2 * (s.radio.p_f * s.radio.p_p)
+    ue = rng.uniform(-window.half_width, window.half_width, size=(n_ue, 2))
+    own, other = mc._received_power(active, ue, None, rng, s)
+    return np.log2(1.0 + gain * own / (gain * other + s.radio.noise_power))
+
+
+def ee_only_estimator(engine, window: Window):
+    """The EE-only pass ``mc.ee_ce_estimator`` replaced: round(k) typical
+    users of its own per realization, then ``station_power``; ``reduce``
+    returns (EE, station power).  Realizations with no active station or no
+    measured station power are skipped."""
+    ee_users = mc.user_counts(engine)["ee_users"]
+
+    def measure(active, rng):
+        if len(active) == 0:
+            return None
+        rate = typical_user_rates(engine, window, active, rng, ee_users)
+        power = mc.station_power(engine, window, active)
+        if len(power) == 0:
+            return None
+        return engine.k_ue * float(rate.mean()), float(power.mean())
+
+    def reduce(kept):  # ratio of means, with a delta-method standard error
+        rates, p_tx = np.asarray(kept, float).reshape(-1, 2).T
+        powers = np.array([engine.bs_power(p) for p in p_tx.tolist()])
+        mean_power = powers.mean()
+        ratio = rates.mean() / mean_power
+        resid = (rates - ratio * powers) / mean_power
+        ee = mc.McEstimate(float(ratio), float(resid.std(ddof=1) / np.sqrt(len(rates))), len(rates))
+        return ee, mc._mc_estimate(p_tx)
+
+    return measure, reduce
+
+
+def ce_only_estimator(engine, window: Window, sampled: bool):
+    """The CE-only pass ``mc.ee_ce_estimator`` replaced: ``CE_USERS``
+    typical users of its own per realization, each scored against the mean
+    demand or, ``sampled``, one draw per user; 0 with no active station."""
+    s = engine.scenario
+
+    def measure(active, rng):
+        if len(active) == 0:
+            return 0.0
+        rate = typical_user_rates(engine, window, active, rng, mc.CE_USERS)
+        rho = s.traffic.sample_with(rng, size=len(rate)) if sampled else s.traffic.mean()
+        return float((rate > rho).mean())
+
+    return measure, mc._mc_estimate
+
+
 def _radius_at_tail(model, tail: float) -> float:
     """The model's ``support_radius`` at ``tail`` in place of ``hcpp.SUPPORT_TAIL``:
     closed form for the Rayleigh law, else the same x1.5 search from delta."""

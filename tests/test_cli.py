@@ -11,6 +11,7 @@ import pytest
 from greencell import cli, mc
 from greencell import config as cfgmod
 from greencell.analytics import AnalyticEngine
+from greencell.channel import ShadowingModel
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -80,6 +81,34 @@ def test_simulate_runs_and_reports_ci(cfg_file, tmp_path):
     assert diag["ce"] == {"realizations_requested": 40, "realizations_used": 40}
     assert diag["ee"]["realizations_requested"] == 40
     assert 2 <= diag["ee"]["realizations_used"] <= 40
+    # matern at delta = 200 m: k = 62.8, so EE reads all 63 users drawn and CE the first 16
+    assert (diag["typical_users"], diag["ee_users"], diag["ce_users"]) == (63, 63, mc.CE_USERS)
+
+
+@pytest.mark.parametrize("strategy", ["matern", "ppp"])
+def test_simulate_draws_one_shadowing_block_per_realization(cfg_file, tmp_path, monkeypatch, strategy):
+    """EE and CE read the same typical users: a simulate row draws one omega
+    per (user, station) link, max(round(k), CE_USERS) users, once per realization."""
+    sample_active, stations = mc.sample_active, []
+    sample_with, blocks = ShadowingModel.sample_with, []
+
+    def counted_active(*args):
+        stations.append(len(active := sample_active(*args)))
+        return active
+
+    def counted_draws(self, rng, size):
+        blocks.append(size)
+        return sample_with(self, rng, size)
+
+    monkeypatch.setattr(mc, "sample_active", counted_active)
+    monkeypatch.setattr(ShadowingModel, "sample_with", counted_draws)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg_file, "--strategy", strategy, "--out", str(out)]) == 0
+    assert all(stations) and len(stations) == 40
+    assert len(blocks) == len(stations)
+    (diag,) = json.loads((out / "summary.json").read_text())["diagnostics"]
+    assert diag["typical_users"] == max(diag["ee_users"], mc.CE_USERS)
+    assert blocks == [(diag["typical_users"], n) for n in stations]
 
 
 def test_sweep_computes_each_distinct_scenario_once(cfg_file, tmp_path, monkeypatch):

@@ -56,16 +56,14 @@ def test_mc_estimate_needs_two_values():
 
 
 def test_run_realization_invariants(scenario, engine):
+    # one set of typical users serves both estimators: EE reads round(k), CE reads CE_USERS
     rate, power = _realization(scenario, engine, 2, 0)
-    assert len(rate) == max(int(round(engine.k_ue)), 1)
+    assert len(rate) == max(int(round(engine.k_ue)), mc.CE_USERS)
+    assert mc.user_counts(engine) == {"typical_users": len(rate), "ee_users": int(round(engine.k_ue)),
+                                      "ce_users": mc.CE_USERS}
     assert np.all(rate > 0)
     assert len(power) == mc.POWER_STATIONS
     assert np.all(power > 0)
-    rng = mc.child_rng(2, 0)
-    active = mc.sample_active(scenario, WINDOW, rng)
-    ce_rate = mc._typical_users(engine, WINDOW, active, rng, mc.CE_USERS)
-    assert len(ce_rate) == mc.CE_USERS
-    assert np.all(ce_rate > 0)
 
 
 def test_run_realization_deterministic(scenario, engine):
@@ -149,14 +147,19 @@ def test_kernel_power_matches_per_user_sum(convention, seed):
     assert abs(est.mean / est.std_error) <= 3.0
 
 
-def test_run_realization_draws_only_typical_users(scenario, engine):
-    # station power draws nothing: the stream ends where the k typical users leave it
-    active = mc.sample_active(scenario, WINDOW, mc.child_rng(8, 0))
-    rng, replay = mc.child_rng(8, 1), mc.child_rng(8, 1)
-    rate, power = mc.run_realization(engine, WINDOW, active, rng)
-    assert len(power) == mc.POWER_STATIONS
-    assert np.array_equal(rate, mc._typical_users(engine, WINDOW, active, replay, max(int(round(engine.k_ue)), 1)))
-    assert rng.bit_generator.state == replay.bit_generator.state
+def test_run_realization_draws_only_typical_users(scenario):
+    # station power draws nothing: the stream ends where the max(round(k), CE_USERS) typical users leave it
+    for strategy in ("matern", "ppp"):
+        sc = dataclasses.replace(scenario, strategy=strategy)
+        engine = AnalyticEngine(sc)
+        n_ue = mc.user_counts(engine)["typical_users"]
+        assert n_ue == max(int(round(engine.k_ue)), mc.CE_USERS)
+        active = mc.sample_active(sc, WINDOW, mc.child_rng(8, 0))
+        rng, replay = mc.child_rng(8, 1), mc.child_rng(8, 1)
+        rate, power = mc.run_realization(engine, WINDOW, active, rng)
+        assert len(power) == mc.POWER_STATIONS
+        assert np.array_equal(rate, oracles.typical_user_rates(engine, WINDOW, active, replay, n_ue))
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_interference_matches_analytic(scenario, engine):
@@ -191,7 +194,8 @@ def test_interference_converges_at_paper_moments():
 
 def test_shared_realizations_match_single_estimators(monkeypatch):
     """One pass draws each realization's stations once, and every estimator
-    in it reads exactly the values it reads alone, on its own stream."""
+    in it reads exactly the values it reads alone, on its own stream: EE and
+    CE, one estimator, equal the one-quantity passes."""
     sc = Scenario(PARAMS, shadowing=ShadowingModel(6.0, "db-std"))
     eng = AnalyticEngine(sc)
     sample_active, draws = mc.sample_active, []
@@ -202,15 +206,67 @@ def test_shared_realizations_match_single_estimators(monkeypatch):
 
     monkeypatch.setattr(mc, "sample_active", counted)
     estimators = [
-        mc.ee_estimator(eng, WINDOW),
-        mc.ce_estimator(eng, WINDOW, True),
+        mc.ee_ce_estimator(eng, WINDOW, True),
         mc.interference_estimator(eng, WINDOW, 100.0),
     ]
-    (ee, _), ce, interference = mc.run_estimators(sc, WINDOW, 12, 5, estimators)
+    ((ee, _), ce), interference = mc.run_estimators(sc, WINDOW, 12, 5, estimators)
     assert len(draws) == 12
     assert ee == mc.estimate_ee(eng, WINDOW, 12, 5)
     assert ce == mc.estimate_ce(eng, WINDOW, 12, 5, sampled=True)
     assert interference == mc.estimate_interference(eng, WINDOW, 100.0, 12, 5)
+
+
+def _defaults(strategy):
+    cfg = cfgmod.RunConfig(strategy=strategy, shadowing_convention="db-std")
+    scenario = cfgmod.to_scenario(cfg)
+    return scenario, cfgmod.to_window(cfg), AnalyticEngine(scenario)
+
+
+def test_shared_pass_ee_is_the_ee_only_pass():
+    """Where round(k) >= CE_USERS (matern at the defaults), the shared pass
+    draws exactly the EE-only pass's users: EE and station power are bit for
+    bit those of the former estimator."""
+    scenario, window, eng = _defaults("matern")
+    assert mc.user_counts(eng)["ee_users"] >= mc.CE_USERS
+    estimators = [mc.ee_ce_estimator(eng, window, True), oracles.ee_only_estimator(eng, window)]
+    for seed in (3, 4):
+        ((ee, power), _), (ee_old, power_old) = mc.run_estimators(scenario, window, 30, seed, estimators)
+        assert ee == ee_old
+        assert power == power_old
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_shared_pass_ce_is_the_ce_only_pass(sampled):
+    """Where round(k) <= CE_USERS (ppp), the shared pass draws exactly the
+    CE-only pass's users, and the sampled demands after them: CE is bit for
+    bit that of the former estimator."""
+    scenario, window, eng = _defaults("ppp")
+    assert mc.user_counts(eng)["typical_users"] == mc.CE_USERS
+    estimators = [mc.ee_ce_estimator(eng, window, sampled), oracles.ce_only_estimator(eng, window, sampled)]
+    for seed in (3, 4):
+        (_, ce), ce_old = mc.run_estimators(scenario, window, 30, seed, estimators)
+        assert ce == ce_old
+
+
+def _agree(new, old):
+    return abs(new.mean - old.mean) <= 3.0 * math.hypot(new.std_error, old.std_error)
+
+
+def test_shared_pass_keeps_each_estimator_in_law():
+    """Where the shared pass reads other users than the former estimator
+    (CE of a matern row, EE of ppp), the estimate keeps its law: the two
+    agree within 3 combined standard errors over 400 realizations.  They
+    share the stations, which correlates them, so the bound is conservative."""
+    scenario, window, eng = _defaults("matern")
+    estimators = [mc.ee_ce_estimator(eng, window, True), oracles.ce_only_estimator(eng, window, True)]
+    (_, ce), ce_old = mc.run_estimators(scenario, window, 400, 31, estimators)
+    assert ce != ce_old
+    assert _agree(ce, ce_old)
+    scenario, window, eng = _defaults("ppp")
+    estimators = [mc.ee_ce_estimator(eng, window, False), oracles.ee_only_estimator(eng, window)]
+    ((ee, _), _), (ee_old, _) = mc.run_estimators(scenario, window, 400, 32, estimators)
+    assert ee != ee_old
+    assert _agree(ee, ee_old)
 
 
 def test_tx_power_matches_analytic(scenario, engine):
